@@ -8,7 +8,7 @@ constant mean curvature 1 and metric-Hessian trace equal to the ambient
 dimension.
 """
 
-from .autodiff import HyperDual, ScalarField, fd_grad_hess, grad_hess
+from .autodiff import Dual, HyperDual, ScalarField, fd_grad_hess, grad_hess, gradients
 from .exceptions import (
     DimensionMismatch,
     DomainViolation,
@@ -37,6 +37,7 @@ from .indicatrix import (
     IndicatrixPoint,
     VerificationSummary,
     adapted_report,
+    adapted_reports,
     defining_field,
     indicatrix_point,
     normalize_to_indicatrix,

@@ -9,9 +9,12 @@ no truncation error.
 A central finite-difference engine lives alongside it and is used only as
 an independent cross-check; the two paths share nothing but the field.
 
-The coefficient slots of a HyperDual may hold floats or equally shaped
-numpy arrays; the array form lets one field evaluation carry a whole
-batch of derivative directions at once.
+The coefficient slots of a HyperDual may hold floats or numpy arrays.
+Evaluations work on stacked points: real parts are (R, 1) columns, one
+row per point, and the slots broadcast them against the derivative
+directions, so one field evaluation carries every point of a batch and
+every direction at once. Dual, the first-order half, does the same for
+gradients alone.
 """
 
 from __future__ import annotations
@@ -26,10 +29,105 @@ from .exceptions import DimensionMismatch, DomainViolation
 _SCALARS = (int, float, np.floating, np.ndarray)
 
 
-class HyperDual:
+class Dual:
+    """real + d1*eps with eps^2 = 0: a value and its first derivatives.
+
+    The first-order half of HyperDual, for evaluations that need gradients
+    only; HyperDual extends it with the second perturbation.
+    """
+
+    __slots__ = ("real", "d1")
+
+    def __init__(self, real, d1=0.0):
+        self.real = real
+        self.d1 = d1
+
+    def __repr__(self):
+        return f"Dual({self.real!r}, {self.d1!r})"
+
+    # -- ring operations -------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.real + other.real, self.d1 + other.d1)
+        if isinstance(other, _SCALARS):
+            return Dual(self.real + other, self.d1)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.real, -self.d1)
+
+    def __sub__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.real - other.real, self.d1 - other.d1)
+        if isinstance(other, _SCALARS):
+            return Dual(self.real - other, self.d1)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, _SCALARS):
+            return Dual(other - self.real, -self.d1)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.real * other.real,
+                        self.real * other.d1 + self.d1 * other.real)
+        if isinstance(other, _SCALARS):
+            return Dual(self.real * other, self.d1 * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Dual):
+            return self * other._reciprocal()
+        if isinstance(other, _SCALARS):
+            return self * (1.0 / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._reciprocal() * other
+        return NotImplemented
+
+    # -- smooth univariate lifts -----------------------------------------
+
+    def _lift(self, f, df, d2f):
+        """Compose with a univariate function given f, f', f'' at self.real."""
+        return Dual(f, df * self.d1)
+
+    def _reciprocal(self):
+        a = self.real
+        if np.any(a == 0.0):
+            raise ZeroDivisionError("hyper-dual division by zero real part")
+        inv = 1.0 / a
+        return self._lift(inv, -inv * inv, 2.0 * inv * inv * inv)
+
+    def __pow__(self, e):
+        a = self.real
+        if isinstance(e, (int, np.integer)):
+            e = int(e)
+            if e < 0:
+                return self._reciprocal() ** (-e)
+            if e == 0:
+                return type(self)(np.ones_like(a) if isinstance(a, np.ndarray) else 1.0)
+            f = a ** e
+            df = e * a ** (e - 1)
+            d2f = e * (e - 1) * a ** (e - 2) if e != 1 else 0.0
+            return self._lift(f, df, d2f)
+        if np.any(np.asarray(self.real) <= 0.0):
+            raise DomainViolation("fractional power needs positive real part")
+        f = a ** e
+        return self._lift(f, e * a ** (e - 1.0), e * (e - 1.0) * a ** (e - 2.0))
+
+
+class HyperDual(Dual):
     """real + d1*eps1 + d2*eps2 + d12*eps1*eps2 with eps1^2 = eps2^2 = 0."""
 
-    __slots__ = ("real", "d1", "d2", "d12")
+    __slots__ = ("d2", "d12")
 
     def __init__(self, real, d1=0.0, d2=0.0, d12=0.0):
         self.real = real
@@ -39,8 +137,6 @@ class HyperDual:
 
     def __repr__(self):
         return f"HyperDual({self.real!r}, {self.d1!r}, {self.d2!r}, {self.d12!r})"
-
-    # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, HyperDual):
@@ -84,54 +180,14 @@ class HyperDual:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, HyperDual):
-            return self * other._reciprocal()
-        if isinstance(other, _SCALARS):
-            return self * (1.0 / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._reciprocal() * other
-        return NotImplemented
-
-    # -- smooth univariate lifts -----------------------------------------
-
     def _lift(self, f, df, d2f):
-        """Compose with a univariate function given f, f', f'' at self.real."""
         return HyperDual(f, df * self.d1, df * self.d2,
                          df * self.d12 + d2f * self.d1 * self.d2)
 
-    def _reciprocal(self):
-        a = self.real
-        if np.any(a == 0.0):
-            raise ZeroDivisionError("hyper-dual division by zero real part")
-        inv = 1.0 / a
-        return self._lift(inv, -inv * inv, 2.0 * inv * inv * inv)
-
-    def __pow__(self, e):
-        a = self.real
-        if isinstance(e, (int, np.integer)):
-            e = int(e)
-            if e < 0:
-                return self._reciprocal() ** (-e)
-            if e == 0:
-                one = np.ones_like(a) if isinstance(a, np.ndarray) else 1.0
-                return HyperDual(one, 0.0, 0.0, 0.0)
-            f = a ** e
-            df = e * a ** (e - 1)
-            d2f = e * (e - 1) * a ** (e - 2) if e != 1 else 0.0
-            return self._lift(f, df, d2f)
-        if np.any(np.asarray(self.real) <= 0.0):
-            raise DomainViolation("fractional power needs positive real part")
-        f = a ** e
-        return self._lift(f, e * a ** (e - 1.0), e * (e - 1.0) * a ** (e - 2.0))
-
 
 def sqrt(x):
-    """Square root for floats, arrays, or hyper-dual numbers."""
-    if isinstance(x, HyperDual):
+    """Square root for floats, arrays, or (hyper-)dual numbers."""
+    if isinstance(x, Dual):
         a = x.real
         if np.any(np.asarray(a) <= 0.0):
             raise DomainViolation("sqrt needs positive real part")
@@ -141,16 +197,16 @@ def sqrt(x):
 
 
 def exp(x):
-    """Exponential for floats, arrays, or hyper-dual numbers."""
-    if isinstance(x, HyperDual):
+    """Exponential for floats, arrays, or (hyper-)dual numbers."""
+    if isinstance(x, Dual):
         e = np.exp(x.real)
         return x._lift(e, e, e)
     return np.exp(x)
 
 
 def log(x):
-    """Natural logarithm for floats, arrays, or hyper-dual numbers."""
-    if isinstance(x, HyperDual):
+    """Natural logarithm for floats, arrays, or (hyper-)dual numbers."""
+    if isinstance(x, Dual):
         a = x.real
         if np.any(np.asarray(a) <= 0.0):
             raise DomainViolation("log needs positive real part")
@@ -168,59 +224,87 @@ class ScalarField:
     """A scalar function of an n-vector together with its validity domain.
 
     ``func`` must accept a sequence of n scalars, where a scalar may be a
-    float, a numpy array, or a HyperDual, and must be built from the
-    generic arithmetic above so either kind flows through. ``guard`` is a
-    predicate on real n-vectors; func is only ever invoked where the
-    guard holds.
+    float, an (R, 1) numpy column holding one entry per stacked point, or
+    a (hyper-)dual number with such a real part, and must be built from
+    the generic arithmetic above so every kind flows through. ``guard`` is
+    a predicate on real n-vectors; func is only ever invoked where the
+    guard holds. ``guard_rows``, if given, is the same predicate on every
+    row of an (R, n) array at once, returning R booleans.
     """
 
     dim: int
     func: Callable
     guard: Callable[[np.ndarray], bool] = dc_field(default=_always)
+    guard_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _checked_point(fld: ScalarField, y) -> np.ndarray:
+def _guarded_rows(fld: ScalarField, y) -> np.ndarray:
+    """``y`` as (R, n) rows, checked against the field's dimension and guard."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (fld.dim,):
+    if y.ndim not in (1, 2) or y.shape[-1] != fld.dim:
         raise DimensionMismatch(f"point shape {y.shape} does not match dim {fld.dim}")
-    return y
+    rows = y.reshape(-1, fld.dim)
+    if fld.guard_rows is not None:
+        inside = np.asarray(fld.guard_rows(rows), dtype=bool)
+    else:
+        inside = np.array([fld.guard(row) for row in rows], dtype=bool)
+    if not inside.all():
+        raise DomainViolation(f"point {rows[inside.argmin()]} is outside the field's domain")
+    return rows
+
+
+def gradients(fld: ScalarField, y):
+    """Value and gradient of ``fld`` via dual numbers (first order only).
+
+    ``y`` is one point (n,), giving (float, (n,)), or stacked rows (R, n),
+    giving ((R,), (R, n)); all rows go through one field evaluation with n
+    slots. The gradient is bit-identical to the one grad_hess returns.
+    """
+    rows = _guarded_rows(fld, y)
+    n = fld.dim
+    eye = np.eye(n)
+    out = fld.func([Dual(rows[:, k:k + 1], eye[k]) for k in range(n)])
+    if isinstance(out, Dual):
+        real, first = out.real, out.d1
+    else:  # constant field
+        real, first = out, 0.0
+    value = np.broadcast_to(np.asarray(real, dtype=float), (len(rows), 1))[:, 0]
+    grad = np.broadcast_to(np.asarray(first, dtype=float), rows.shape).copy()
+    if np.ndim(y) == 1:
+        return float(value[0]), grad[0]
+    return value.copy(), grad
 
 
 def grad_hess(fld: ScalarField, y):
-    """Value, gradient, and Hessian of ``fld`` at ``y`` via hyper-duals.
+    """Value, gradient, and Hessian of ``fld`` via hyper-duals.
 
-    One batched field evaluation carries all n(n+1)/2 index pairs; the
-    mixed coefficient of pair (i, j) is exactly d2f/dyi dyj, so the
-    returned Hessian is symmetric by construction (the (j, i) entry is
-    the mirrored copy of the same number).
+    ``y`` is one point (n,), giving (float, (n,), (n, n)), or stacked rows
+    (R, n), giving ((R,), (R, n), (R, n, n)). One field evaluation carries
+    all rows and all n(n+1)/2 index pairs; the mixed coefficient of pair
+    (i, j) is exactly d2f/dyi dyj, so the returned Hessian is symmetric by
+    construction (the (j, i) entry is the mirrored copy of the same number).
     """
-    y = _checked_point(fld, y)
-    if not fld.guard(y):
-        raise DomainViolation(f"point {y} is outside the field's domain")
+    rows = _guarded_rows(fld, y)
     n = fld.dim
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    m = len(pairs)
-    d1 = np.zeros((n, m))
-    d2 = np.zeros((n, m))
-    diag_slot = {}
-    for b, (i, j) in enumerate(pairs):
-        d1[i, b] = 1.0
-        d2[j, b] = 1.0
-        if i == j:
-            diag_slot[i] = b
-    z = [HyperDual(np.full(m, y[k]), d1[k], d2[k], np.zeros(m)) for k in range(n)]
-    out = fld.func(z)
-    if not isinstance(out, HyperDual):  # constant field
-        return float(np.asarray(out).flat[0]), np.zeros(n), np.zeros((n, n))
-    real = np.broadcast_to(np.asarray(out.real, dtype=float), (m,))
-    first = np.broadcast_to(np.asarray(out.d1, dtype=float), (m,))
-    mixed = np.broadcast_to(np.asarray(out.d12, dtype=float), (m,))
-    value = float(real[0])
-    grad = np.array([first[diag_slot[i]] for i in range(n)])
-    hess = np.zeros((n, n))
-    for b, (i, j) in enumerate(pairs):
-        hess[i, j] = hess[j, i] = mixed[b]
-    return value, grad, hess
+    first, second = np.triu_indices(n)
+    eye = np.eye(n)
+    d1, d2 = eye[:, first], eye[:, second]
+    out = fld.func([HyperDual(rows[:, k:k + 1], d1[k], d2[k]) for k in range(n)])
+    if isinstance(out, HyperDual):
+        real, slope, mixed = out.real, out.d1, out.d12
+    else:  # constant field
+        real, slope, mixed = out, 0.0, 0.0
+    count, m = len(rows), first.size
+    value = np.broadcast_to(np.asarray(real, dtype=float), (count, 1))[:, 0]
+    slope = np.broadcast_to(np.asarray(slope, dtype=float), (count, m))
+    mixed = np.broadcast_to(np.asarray(mixed, dtype=float), (count, m))
+    grad = np.ascontiguousarray(slope[:, first == second])  # C order, as for one row
+    hess = np.empty((count, n, n))
+    hess[:, first, second] = mixed
+    hess[:, second, first] = mixed
+    if np.ndim(y) == 1:
+        return float(value[0]), grad[0], hess[0]
+    return value.copy(), grad, hess
 
 
 def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
@@ -230,7 +314,9 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     hyper-dual path; used as the oracle against it. Raises
     DomainViolation if any stencil point leaves the guard.
     """
-    y = _checked_point(fld, y)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (fld.dim,):
+        raise DimensionMismatch(f"point shape {y.shape} does not match dim {fld.dim}")
     n = fld.dim
     scale = max(1.0, float(np.linalg.norm(y)))
     step = h * scale

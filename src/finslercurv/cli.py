@@ -9,22 +9,22 @@ Subcommands:
               against the explicit projection route
 
 Exit codes: 0 all checks passed, 1 a claim check failed, 2 usage or I/O
-error. Output is deterministic for identical arguments (and identical
-FINSLER_THREADS has no effect on bytes, only on wall time).
+error. Output is byte-identical for identical arguments, in every format.
+Points are evaluated in fixed-size chunks on one thread; a point that
+fails gets its own failure record and the rest of the batch goes on.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import indicatrix as ind
-from .exceptions import FinslerError, UsageError
+from .exceptions import UsageError
 from .metrics import eval_F, parse_metric_spec
 from .numkernel import projected_trace, trace_reduction
 
@@ -88,9 +88,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_point_value(argv) -> list:
+    """Rewrite ``--point -0.35,0.2`` as ``--point=-0.35,0.2``.
+
+    argparse reads a value that starts with '-' as an option unless it is
+    a single plain number, so a coordinate list with a negative first
+    entry would otherwise be missing its argument.
+    """
+    argv = list(argv)
+    for i in range(len(argv) - 1):
+        if argv[i] == "--point" and argv[i + 1].startswith("-"):
+            try:
+                [float(v) for v in argv[i + 1].split(",")]
+            except ValueError:
+                continue
+            argv[i:i + 2] = [f"--point={argv[i + 1]}"]
+            break
+    return argv
+
+
 def parse_args(argv) -> RunConfig:
     """Parse and validate the command line into a RunConfig."""
-    ns = build_parser().parse_args(argv)
+    ns = build_parser().parse_args(_join_point_value(argv))
     config = RunConfig(command=ns.command)
     config.metric_spec = getattr(ns, "metric", None)
     config.dim = ns.dim
@@ -136,16 +155,11 @@ def parse_args(argv) -> RunConfig:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("FINSLER_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise UsageError(f"FINSLER_THREADS must be a positive integer, got {raw!r}") from None
-    if threads < 1:
-        raise UsageError(f"FINSLER_THREADS must be a positive integer, got {raw!r}")
-    return threads
+    """Threads a run uses: always 1, since points are batched, not threaded.
+
+    Kept for bench/run.py, which records it with each measurement.
+    """
+    return 1
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -164,9 +178,9 @@ def _csv_rows(points, reports, fund) -> str:
     n = fund.dim
     header = "index," + ",".join(f"y_{i + 1}" for i in range(n)) + ",F,H,residual_H"
     lines = [header]
-    for index, (point, rep) in enumerate(zip(points, reports)):
+    f_vals = eval_F(fund, np.stack([point.y for point in points]))
+    for index, (point, rep, f_val) in enumerate(zip(points, reports, f_vals)):
         coords = ",".join(_fmt17(v) for v in point.y)
-        f_val = eval_F(fund, point.y)
         if isinstance(rep, Exception):
             lines.append(f"{index},{coords},{_fmt17(f_val)},nan,nan")
         else:
@@ -179,8 +193,7 @@ def _run_verify(config: RunConfig) -> int:
     fund = parse_metric_spec(config.metric_spec, config.dim)
     summary = ind.verify_claims(
         fund, count=config.samples, seed=config.seed, tol=config.tol,
-        methods=(config.method,), fd_step=config.fd_step,
-        threads=_thread_count(), label=config.metric_spec)
+        methods=(config.method,), fd_step=config.fd_step, label=config.metric_spec)
     stats = summary.stats[config.method]
     if config.fmt == "json":
         payload = {
@@ -199,8 +212,7 @@ def _run_verify(config: RunConfig) -> int:
         }
         _emit(config, json.dumps(payload, indent=2) + "\n")
     elif config.fmt == "csv":
-        points = ind.sample_indicatrix(fund, config.samples, config.seed)
-        _emit(config, _csv_rows(points, summary.reports[config.method], fund))
+        _emit(config, _csv_rows(summary.points, summary.reports[config.method], fund))
     else:
         lines = [
             f"metric {config.metric_spec}  dim {summary.dim}  "
@@ -212,7 +224,7 @@ def _run_verify(config: RunConfig) -> int:
             f"max formula-oracle gap = {stats.max_oracle_gap:.3e}",
             f"failures               = {len(stats.failures)}",
             f"result                 = {'PASS' if stats.passed else 'FAIL'} "
-            f"(tol {config.tol:g}, {summary.elapsed_seconds:.2f} s)",
+            f"(tol {config.tol:g})",
         ]
         _emit(config, "\n".join(lines) + "\n")
     return 0 if stats.passed else 1
@@ -266,13 +278,8 @@ def _run_curvature(config: RunConfig) -> int:
 def _run_sample(config: RunConfig) -> int:
     fund = parse_metric_spec(config.metric_spec, config.dim)
     points = ind.sample_indicatrix(fund, config.samples, config.seed)
-    reports = []
-    for point in points:
-        try:
-            reports.append(ind.adapted_report(fund, point, method=config.method,
-                                              fd_step=config.fd_step))
-        except FinslerError as exc:
-            reports.append(exc)
+    reports = ind.adapted_reports(fund, points, method=config.method,
+                                  fd_step=config.fd_step)
     if config.fmt == "json":
         rows = []
         for index, (point, rep) in enumerate(zip(points, reports)):

@@ -6,7 +6,8 @@ shape operator in an orthonormal tangent frame is the projected Hessian
 of f scaled by 1/|grad f|, and the mean curvature is the corresponding
 normal-deflated trace. A finite-difference Weingarten construction
 (differencing the normal field itself) provides an independent oracle
-for the same matrix.
+for the same matrix. Every stage takes one point or a (P, n) stack of
+points, and a stack gives each point the numbers it would get alone.
 
 Sign convention: SIGN_CONVENTION = +1 selects the orientation in which
 the unit sphere with outward normal has every principal curvature +1
@@ -20,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ScalarField, grad_hess
+from .autodiff import ScalarField, grad_hess, gradients
 from .exceptions import DimensionMismatch, OffSurface, VanishingGradient
-from .numkernel import (
-    TangentFrame,
-    complete_frame,
-    quadratic_form,
-    sym_eigenvalues,
-    trace_reduction,
-)
+from .numkernel import TangentFrame, _first, complete_frame, trace_reduction
 
 # +1: outward-oriented unit sphere has principal curvatures +1.
 SIGN_CONVENTION = 1.0
@@ -42,7 +37,10 @@ ON_SURFACE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DefiningEvaluation:
-    """f, grad f, Hess f and |grad f| at one point."""
+    """f, grad f, Hess f and |grad f| at one point (or at P stacked rows).
+
+    For stacked rows every field gains a leading axis of length P.
+    """
 
     at: np.ndarray
     value: float
@@ -62,7 +60,11 @@ class OrientedNormal:
 
 @dataclass(frozen=True)
 class ShapeOperatorMatrix:
-    """The (n-1) x (n-1) shape-operator matrix in an orthonormal frame."""
+    """The (n-1) x (n-1) shape-operator matrix in an orthonormal frame.
+
+    For stacked rows ``entries`` is (P, n-1, n-1), ``principal_curvatures``
+    (P, n-1) and ``mean`` (P,).
+    """
 
     frame: TangentFrame
     entries: np.ndarray
@@ -70,31 +72,53 @@ class ShapeOperatorMatrix:
     mean: float
 
 
+def _check_grad_norm(grad_norm) -> None:
+    small = _first(grad_norm, np.asarray(grad_norm) <= GRADIENT_FLOOR)
+    if small is not None:
+        raise VanishingGradient(f"|grad f| = {small:.3e}")
+
+
+def _unit(gradient, epsilon: int) -> np.ndarray:
+    """eps * grad / |grad| over the last axis."""
+    grad_norm = np.linalg.norm(gradient, axis=-1)
+    _check_grad_norm(grad_norm)
+    return epsilon * gradient / grad_norm[..., None]
+
+
+def defining_evaluation(y, value, gradient, hessian,
+                        on_surface: bool = False) -> DefiningEvaluation:
+    """Check f and its derivatives at y (or at stacked rows) and bundle them."""
+    if on_surface:
+        off = _first(np.abs(value), np.abs(value) > ON_SURFACE_TOL)
+        if off is not None:
+            raise OffSurface(f"|f| = {off:.3e} exceeds {ON_SURFACE_TOL}")
+    grad_norm = np.linalg.norm(gradient, axis=-1)
+    _check_grad_norm(grad_norm)
+    if np.ndim(grad_norm) == 0:
+        grad_norm = float(grad_norm)
+    return DefiningEvaluation(y, value, gradient, hessian, grad_norm)
+
+
 def evaluate_defining(fld: ScalarField, y, on_surface: bool = False) -> DefiningEvaluation:
-    """Evaluate f and its exact derivatives (hyper-dual path) at y."""
+    """Evaluate f and its exact derivatives (hyper-dual path) at y or at (P, n) rows."""
     y = np.asarray(y, dtype=float)
-    value, grad, hess = grad_hess(fld, y)
-    if on_surface and abs(value) > ON_SURFACE_TOL:
-        raise OffSurface(f"|f| = {abs(value):.3e} exceeds {ON_SURFACE_TOL}")
-    grad_norm = float(np.linalg.norm(grad))
-    if grad_norm <= GRADIENT_FLOOR:
-        raise VanishingGradient(f"|grad f| = {grad_norm:.3e}")
-    return DefiningEvaluation(y, value, grad, hess, grad_norm)
+    return defining_evaluation(y, *grad_hess(fld, y), on_surface=on_surface)
 
 
 def unit_normal(ev: DefiningEvaluation, epsilon: int = 1) -> OrientedNormal:
     """Oriented unit normal from a defining evaluation."""
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    if ev.grad_norm <= GRADIENT_FLOOR:
-        raise VanishingGradient(f"|grad f| = {ev.grad_norm:.3e}")
-    return OrientedNormal(epsilon * ev.gradient / ev.grad_norm, epsilon, ev.grad_norm)
+    _check_grad_norm(ev.grad_norm)
+    direction = epsilon * ev.gradient / np.asarray(ev.grad_norm)[..., None]
+    return OrientedNormal(direction, epsilon, ev.grad_norm)
 
 
 def _assemble(frame: TangentFrame, entries: np.ndarray) -> ShapeOperatorMatrix:
-    principal = sym_eigenvalues(entries)
-    k = entries.shape[0]
-    mean = float(np.trace(entries)) / k
+    principal = np.linalg.eigvalsh(entries)
+    mean = np.trace(entries, axis1=-2, axis2=-1) / entries.shape[-1]
+    if entries.ndim == 2:
+        mean = float(mean)
     return ShapeOperatorMatrix(frame, entries, principal, mean)
 
 
@@ -103,60 +127,58 @@ def shape_operator(ev: DefiningEvaluation, normal: OrientedNormal,
     """Shape-operator matrix from the projected Hessian of f.
 
     Entry (a, b) is SIGN_CONVENTION * eps / |grad f| times
-    X_a . (Hess f) X_b. ``frame`` defaults to complete_frame of the
-    normal direction; passing one explicitly lets both orientations be
-    compared in the same basis.
+    X_a . (Hess f) X_b; the lower triangle mirrors the upper one, so the
+    matrix is exactly symmetric. ``frame`` defaults to complete_frame of
+    the normal direction; passing one explicitly lets both orientations
+    be compared in the same basis.
     """
-    n = ev.at.size
-    if n < 2:
+    if ev.at.shape[-1] < 2:
         raise DimensionMismatch("ambient dimension must be >= 2")
     if frame is None:
         frame = complete_frame(normal.direction)
-    k = n - 1
-    coef = SIGN_CONVENTION * normal.epsilon / normal.grad_norm
-    entries = np.empty((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            q = coef * quadratic_form(ev.hessian, frame.basis[a], frame.basis[b])
-            entries[a, b] = entries[b, a] = q
+    coef = SIGN_CONVENTION * normal.epsilon / np.asarray(normal.grad_norm)[..., None, None]
+    basis = frame.basis
+    full = coef * (basis @ ev.hessian @ np.swapaxes(basis, -1, -2))
+    entries = np.triu(full) + np.swapaxes(np.triu(full, 1), -1, -2)
     return _assemble(frame, entries)
 
 
-def mean_curvature_trace(ev: DefiningEvaluation, normal: OrientedNormal) -> float:
+def mean_curvature_trace(ev: DefiningEvaluation, normal: OrientedNormal):
     """Mean curvature via the normal-deflated Hessian trace.
 
     SIGN_CONVENTION * eps / ((n-1) |grad f|) * (tr Hess f - N Hess f N^T).
     Agrees with shape_operator(...).mean to rounding; the two routes share
-    only the Hessian.
+    only the Hessian. A float, or one value per stacked row.
     """
-    n = ev.at.size
+    n = ev.at.shape[-1]
     coef = SIGN_CONVENTION * normal.epsilon / ((n - 1) * normal.grad_norm)
     return coef * trace_reduction(ev.hessian, normal.direction)
 
 
-def weingarten_oracle(fld: ScalarField, y, epsilon: int = 1,
-                      h: float = 1e-5) -> ShapeOperatorMatrix:
+def weingarten_oracle(fld: ScalarField, y, epsilon: int = 1, h: float = 1e-5,
+                      frame: TangentFrame | None = None) -> ShapeOperatorMatrix:
     """Shape operator by central differencing of the unit normal field.
 
     For each frame vector X_b, the normal is re-evaluated at
     y +- h*max(1, ||y||)*X_b; the difference quotient is projected back
     onto the frame and the matrix symmetrized by transpose averaging.
     Entirely independent of the Hessian-formula route except for the
-    field itself.
+    field itself. All 2(n-1) stencil points of every row of a (P, n) y go
+    through one first-order field evaluation, grouped by row (the layout
+    a per-row field such as indicatrix.adapted_field expects). ``frame``
+    is the oriented tangent frame at y when the caller already has it;
+    otherwise it is completed from the gradient at y.
     """
     y = np.asarray(y, dtype=float)
-    ev0 = evaluate_defining(fld, y)
-    n0 = unit_normal(ev0, epsilon)
-    frame = complete_frame(n0.direction)
-    n = y.size
-    k = n - 1
-    step = h * max(1.0, float(np.linalg.norm(y)))
-    derivs = np.empty((k, n))
-    for b in range(k):
-        offset = step * frame.basis[b]
-        n_plus = unit_normal(evaluate_defining(fld, y + offset), epsilon).direction
-        n_minus = unit_normal(evaluate_defining(fld, y - offset), epsilon).direction
-        derivs[b] = (n_plus - n_minus) / (2.0 * step)
-    raw = SIGN_CONVENTION * frame.basis @ derivs.T  # raw[a, b] = X_a . D_b N
-    entries = 0.5 * (raw + raw.T)
+    if frame is None:
+        frame = complete_frame(_unit(gradients(fld, y)[1], epsilon))
+    n = y.shape[-1]
+    step = h * np.maximum(1.0, np.linalg.norm(y, axis=-1))
+    offsets = step[..., None, None] * frame.basis  # (..., k, n)
+    stencil = y[..., None, None, :] + np.stack([offsets, -offsets], axis=-2)
+    _, grads = gradients(fld, stencil.reshape(-1, n))
+    normals = _unit(grads, epsilon).reshape(stencil.shape)
+    derivs = (normals[..., 0, :] - normals[..., 1, :]) / (2.0 * step[..., None, None])
+    raw = SIGN_CONVENTION * frame.basis @ np.swapaxes(derivs, -1, -2)  # X_a . D_b N
+    entries = 0.5 * (raw + np.swapaxes(raw, -1, -2))
     return _assemble(frame, entries)

@@ -9,32 +9,43 @@ the ambient dimension, and the mean curvature is identically 1 with every
 principal curvature equal to 1 (total umbilicity). Reports record the
 numerical residuals of each of those statements, plus the gap to the
 finite-difference Weingarten oracle.
+
+Points are processed CHUNK_ROWS at a time: each stage of a report runs
+once per chunk on stacked rows. A chunk in which any point raises is
+redone point by point, so every point gets exactly the outcome it would
+get alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .autodiff import ScalarField, fd_grad_hess
-from .exceptions import FinslerError, RejectionOverflow, VanishingGradient
+from .autodiff import Dual, ScalarField, fd_grad_hess, grad_hess
+from .exceptions import DimensionMismatch, FinslerError, RejectionOverflow
 from .hypersurface import (
-    DefiningEvaluation,
-    GRADIENT_FLOOR,
+    defining_evaluation,
+    evaluate_defining,
     mean_curvature_trace,
     shape_operator,
     unit_normal,
-    evaluate_defining,
     weingarten_oracle,
 )
-from .metrics import FundamentalFunction, MetricTensor, eval_F, metric_tensor
+from .metrics import FundamentalFunction, MetricTensor, energy_field, eval_F
 from .numkernel import cholesky
 
 METHODS = ("hyperdual", "fd")
+
+# Points per batched evaluation. Larger chunks cost peak memory (the
+# oracle stacks 2(n-1) stencil rows per point) and no longer gain speed.
+CHUNK_ROWS = 32
+
+# What a single point can raise; such a point gets a failure record and
+# the rest of its batch goes on.
+POINT_ERRORS = (FinslerError, ValueError, ArithmeticError)
 
 # Fixed cross-check bound for the formula-vs-Weingarten gap at the default
 # oracle step; separate from the user tolerance on the claim residuals.
@@ -82,21 +93,52 @@ def defining_field(fund: FundamentalFunction) -> ScalarField:
     def func(z):
         v = fund.value(z)
         return (v * v - 1.0) * 0.5
-    return ScalarField(fund.dim, func, fund.guard)
+    return ScalarField(fund.dim, func, fund.guard, fund.guard_rows)
 
 
 def normalize_to_indicatrix(fund: FundamentalFunction, direction) -> np.ndarray:
-    """Scale a direction onto the indicatrix: y = d / F(d)."""
+    """Scale a direction (or each row of a stack) onto the indicatrix: y = d / F(d)."""
     d = np.asarray(direction, dtype=float)
-    return d / eval_F(fund, d)
+    return d / np.asarray(eval_F(fund, d))[..., None]
+
+
+def _by_chunks(compute, items, keep_errors: bool) -> list:
+    """``compute`` over CHUNK_ROWS items at a time, concatenated.
+
+    A chunk that raises one of POINT_ERRORS is redone item by item: with
+    ``keep_errors`` a failing item's exception takes its place in the
+    result, otherwise the first failing item's exception propagates.
+    """
+    out = []
+    for start in range(0, len(items), CHUNK_ROWS):
+        chunk = items[start:start + CHUNK_ROWS]
+        try:
+            results = compute(chunk)
+        except POINT_ERRORS:
+            results = []
+            for index in range(len(chunk)):
+                try:
+                    results.extend(compute(chunk[index:index + 1]))
+                except POINT_ERRORS as exc:
+                    if not keep_errors:
+                        raise
+                    results.append(exc)
+        out.extend(results)
+    return out
+
+
+def _indicatrix_points(fund: FundamentalFunction, rows: np.ndarray) -> list[IndicatrixPoint]:
+    """IndicatrixPoints for (P, n) rows on the indicatrix, one batched evaluation."""
+    _, _, g = grad_hess(energy_field(fund), rows)
+    low = cholesky(g)  # SPD check and factor at once; NotPositiveDefinite propagates
+    adapted = (rows[:, None, :] @ low)[:, 0, :]  # chol.T @ y per row
+    return [IndicatrixPoint(y, MetricTensor(y, gi), li, zi)
+            for y, gi, li, zi in zip(rows, g, low, adapted)]
 
 
 def indicatrix_point(fund: FundamentalFunction, y) -> IndicatrixPoint:
     """Attach metric, Cholesky factor and adapted coordinates to a point."""
-    y = np.asarray(y, dtype=float)
-    g = metric_tensor(fund, y)
-    low = cholesky(g.entries)
-    return IndicatrixPoint(y, g, low, low.T @ y)
+    return _indicatrix_points(fund, np.asarray(y, dtype=float)[None])[0]
 
 
 def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[IndicatrixPoint]:
@@ -105,91 +147,146 @@ def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[
     Directions are standard Gaussian draws from a generator keyed by
     (seed, index, retry); draws violating the guard domain are rejected.
     The result for a given (seed, count) does not depend on evaluation
-    order, and shorter runs are prefixes of longer ones.
+    order, and shorter runs are prefixes of longer ones. Each round of
+    retries is guarded in one call; metric Hessians and Cholesky factors
+    are computed CHUNK_ROWS points at a time.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if fund.guard_margin > 0.0:
         draw_guard = dataclasses.replace(
-            fund, guard_margin=SAMPLING_MARGIN_FACTOR * fund.guard_margin).guard
+            fund, guard_margin=SAMPLING_MARGIN_FACTOR * fund.guard_margin).guard_rows
     else:
-        draw_guard = fund.guard
-    points = []
+        draw_guard = fund.guard_rows
+    directions = np.empty((count, fund.dim))
+    pending = np.arange(count)  # indices whose draws so far were all rejected
     rejections = 0
-    for index in range(count):
-        retry = 0
-        while True:
-            rng = np.random.default_rng([seed, index, retry])
-            d = rng.standard_normal(fund.dim)
-            if draw_guard(d):
-                break
-            retry += 1
-            rejections += 1
-            if rejections > 1000 * count:
-                raise RejectionOverflow(
-                    f"{rejections} rejected draws for {count} samples; "
-                    "guard domain too aggressive for this dimension")
-        points.append(indicatrix_point(fund, normalize_to_indicatrix(fund, d)))
-    return points
+    retry = 0
+    while pending.size:
+        draws = np.array([np.random.default_rng([seed, index, retry]).standard_normal(fund.dim)
+                          for index in pending])
+        accepted = draw_guard(draws)
+        directions[pending[accepted]] = draws[accepted]
+        pending = pending[~accepted]
+        rejections += pending.size
+        if rejections > 1000 * count:
+            raise RejectionOverflow(
+                f"more than {1000 * count} rejected draws for {count} samples; "
+                "guard domain too aggressive for this dimension")
+        retry += 1
+    return _by_chunks(
+        lambda rows: _indicatrix_points(fund, normalize_to_indicatrix(fund, rows)),
+        directions, keep_errors=False)
 
 
-def adapted_field(fund: FundamentalFunction, point: IndicatrixPoint) -> ScalarField:
-    """The defining field pulled back to the adapted coordinates of ``point``."""
+def adapted_field(fund: FundamentalFunction, point) -> ScalarField:
+    """The defining field pulled back to the adapted coordinates of ``point``.
+
+    ``point`` is one IndicatrixPoint or a sequence of P of them. The field
+    takes stacked rows grouped by point: of R rows, each consecutive block
+    of R / P rows belongs to one point, in order. Plain float coordinates
+    are accepted for a single point.
+    """
+    points = [point] if isinstance(point, IndicatrixPoint) else list(point)
+    # maps adapted coords to original ones, one (n, n) matrix per point
+    back = np.linalg.inv(np.stack([p.chol for p in points]).swapaxes(-1, -2))
+    used = np.any(back != 0.0, axis=0)
     base = defining_field(fund)
-    back = np.linalg.inv(point.chol.T)  # maps adapted coords to original ones
     n = fund.dim
 
+    def per_row(rows: int) -> np.ndarray:
+        """back[i, k] for each of ``rows`` rows: shape (n, n, rows)."""
+        if rows % len(points):
+            raise DimensionMismatch(f"{rows} rows do not split among {len(points)} points")
+        return np.moveaxis(np.repeat(back, rows // len(points), axis=0), 0, -1)
+
     def func(z):
+        lead = np.shape(z[0].real if isinstance(z[0], Dual) else z[0])
+        coef = per_row(lead[0])[..., None] if lead else back[0]
         w = []
         for i in range(n):
             acc = 0.0
             for k in range(n):
-                c = back[i, k]
-                if c != 0.0:
-                    acc = acc + z[k] * c
+                if used[i, k]:
+                    acc = acc + z[k] * coef[i, k]
             w.append(acc)
         return base.func(w)
 
-    def guard(zt) -> bool:
-        return base.guard(back @ np.asarray(zt, dtype=float))
+    def guard_rows(rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
+        coef = per_row(len(rows))
+        w = coef[:, 0] * rows[:, 0]
+        for k in range(1, n):
+            w = w + coef[:, k] * rows[:, k]
+        return base.guard_rows(w.T)
 
-    return ScalarField(n, func, guard)
+    def guard(zt) -> bool:
+        return bool(guard_rows(np.asarray(zt, dtype=float)[None])[0])
+
+    return ScalarField(n, func, guard, guard_rows)
+
+
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+
+
+def _chunk_reports(fund, points, method, fd_step, oracle_step) -> list[CurvatureReport]:
+    """Curvature reports for a chunk of points, every stage run once on stacked rows."""
+    fld = adapted_field(fund, points)
+    z = np.stack([p.y_adapted for p in points])
+    if method == "hyperdual":
+        ev = evaluate_defining(fld, z, on_surface=True)
+    else:
+        parts = [fd_grad_hess(adapted_field(fund, p), p.y_adapted, fd_step) for p in points]
+        ev = defining_evaluation(z, *(np.array(part) for part in zip(*parts)))
+    normal = unit_normal(ev, 1)  # outward: the radius vector
+    h_trace = mean_curvature_trace(ev, normal)
+    shape = shape_operator(ev, normal)
+    oracle = weingarten_oracle(fld, z, 1, oracle_step, frame=shape.frame)
+    principal = shape.principal_curvatures
+    residual_H = np.abs(h_trace - 1.0)
+    residual_trace = np.abs(np.trace(ev.hessian, axis1=-2, axis2=-1) - fund.dim)
+    residual_umbilic = np.max(np.abs(principal - 1.0), axis=-1)
+    oracle_gap = np.max(np.abs(shape.entries - oracle.entries), axis=(-2, -1))
+    path_gap = np.abs(h_trace - shape.mean)
+    normal_residual = np.max(np.abs(normal.direction - z), axis=-1)
+    grad_norm_residual = np.abs(ev.grad_norm - 1.0)
+    return [CurvatureReport(
+        point=point,
+        H=float(h_trace[i]),
+        principal=principal[i],
+        residual_H=float(residual_H[i]),
+        residual_trace=float(residual_trace[i]),
+        residual_umbilic=float(residual_umbilic[i]),
+        method=method,
+        oracle_gap=float(oracle_gap[i]),
+        path_gap=float(path_gap[i]),
+        normal_residual=float(normal_residual[i]),
+        grad_norm_residual=float(grad_norm_residual[i]),
+    ) for i, point in enumerate(points)]
+
+
+def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual",
+                    fd_step: float = 1e-5, oracle_step: float = 1e-5) -> list:
+    """adapted_report for every point, CHUNK_ROWS points per batched evaluation.
+
+    A point whose report raises one of POINT_ERRORS gets that exception in
+    its place, with the class and message adapted_report raises for it
+    alone; every other report is bit-identical to its adapted_report.
+    """
+    _check_method(method)
+    return _by_chunks(
+        lambda chunk: _chunk_reports(fund, chunk, method, fd_step, oracle_step),
+        list(points), keep_errors=True)
 
 
 def adapted_report(fund: FundamentalFunction, point: IndicatrixPoint,
                    method: str = "hyperdual", fd_step: float = 1e-5,
                    oracle_step: float = 1e-5) -> CurvatureReport:
     """Curvature residuals at one indicatrix point, in adapted coordinates."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
-    fld = adapted_field(fund, point)
-    z = point.y_adapted
-    if method == "hyperdual":
-        ev = evaluate_defining(fld, z, on_surface=True)
-    else:
-        value, grad, hess = fd_grad_hess(fld, z, fd_step)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= GRADIENT_FLOOR:
-            raise VanishingGradient(f"|grad f| = {grad_norm:.3e}")
-        ev = DefiningEvaluation(z, value, grad, hess, grad_norm)
-    normal = unit_normal(ev, 1)  # outward: the radius vector
-    h_trace = mean_curvature_trace(ev, normal)
-    shape = shape_operator(ev, normal)
-    oracle = weingarten_oracle(fld, z, 1, oracle_step)
-    n = fund.dim
-    return CurvatureReport(
-        point=point,
-        H=h_trace,
-        principal=shape.principal_curvatures,
-        residual_H=abs(h_trace - 1.0),
-        residual_trace=abs(float(np.trace(ev.hessian)) - n),
-        residual_umbilic=float(np.max(np.abs(shape.principal_curvatures - 1.0))),
-        method=method,
-        oracle_gap=float(np.max(np.abs(shape.entries - oracle.entries))),
-        path_gap=abs(h_trace - shape.mean),
-        normal_residual=float(np.max(np.abs(normal.direction - z))),
-        grad_norm_residual=abs(ev.grad_norm - 1.0),
-    )
+    _check_method(method)
+    return _chunk_reports(fund, [point], method, fd_step, oracle_step)[0]
 
 
 @dataclass
@@ -221,6 +318,7 @@ class VerificationSummary:
     passed: bool
     elapsed_seconds: float
     reports: dict
+    points: list
 
 
 def _aggregate(method: str, reports: list, tol: float) -> MethodStats:
@@ -253,34 +351,23 @@ def _aggregate(method: str, reports: list, tol: float) -> MethodStats:
 
 def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
                   tol: float = 1e-8, methods=METHODS, fd_step: float = 1e-5,
-                  threads: int = 1, label: str | None = None) -> VerificationSummary:
+                  label: str | None = None) -> VerificationSummary:
     """Sample the indicatrix and verify the constant-curvature claims.
 
-    Per-point failures (residuals above ``tol`` or raised errors) are
-    recorded without aborting the batch. Output is deterministic for a
-    fixed (seed, count, tol) at any thread count.
+    Sampling and reports run in chunks of CHUNK_ROWS points, each stage
+    once per chunk on stacked rows. Per-point failures (residuals above
+    ``tol`` or raised errors) are recorded without aborting the batch.
+    Output is deterministic for a fixed (seed, count, tol), and each
+    report is bit-identical to adapted_report on its point alone.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     start = time.perf_counter()
     points = sample_indicatrix(fund, count, seed)
-
-    def one(args):
-        method, point = args
-        try:
-            return adapted_report(fund, point, method=method, fd_step=fd_step)
-        except FinslerError as exc:
-            return exc
-
     stats = {}
     all_reports = {}
     for method in methods:
-        jobs = [(method, p) for p in points]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                reports = list(pool.map(one, jobs))
-        else:
-            reports = [one(j) for j in jobs]
+        reports = adapted_reports(fund, points, method=method, fd_step=fd_step)
         all_reports[method] = reports
         stats[method] = _aggregate(method, reports, tol)
     return VerificationSummary(
@@ -293,4 +380,5 @@ def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
         passed=all(s.passed for s in stats.values()),
         elapsed_seconds=time.perf_counter() - start,
         reports=all_reports,
+        points=points,
     )

@@ -87,14 +87,16 @@ class FundamentalFunction:
     def guard(self, y) -> bool:
         """True where F and its metric tensor are smooth and well posed."""
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.dim,):
-            return False
-        nrm = float(np.linalg.norm(y))
-        if not nrm > 0.0:
-            return False
-        if self.guard_margin > 0.0 and float(np.min(np.abs(y))) < self.guard_margin * nrm:
-            return False
-        return True
+        return y.shape == (self.dim,) and bool(self.guard_rows(y[None])[0])
+
+    def guard_rows(self, rows) -> np.ndarray:
+        """``guard`` on every row of an (R, dim) array, as R booleans."""
+        rows = np.asarray(rows, dtype=float)
+        nrm = np.linalg.norm(rows, axis=-1)
+        inside = nrm > 0.0
+        if self.guard_margin > 0.0:
+            inside &= np.min(np.abs(rows), axis=-1) >= self.guard_margin * nrm
+        return inside
 
     def describe(self) -> str:
         if self.family in ("pnorm", "mroot"):
@@ -176,7 +178,7 @@ def mroot(dim: int, m, guard_margin: float = DEFAULT_GUARD_MARGIN) -> Fundamenta
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """g_ij(y): half the Hessian of F^2, evaluated at one point."""
+    """g_ij(y): half the Hessian of F^2, at one point or at stacked rows."""
 
     at: np.ndarray
     entries: np.ndarray
@@ -187,19 +189,27 @@ def energy_field(fund: FundamentalFunction) -> ScalarField:
     def func(z):
         v = fund.value(z)
         return (v * v) * 0.5
-    return ScalarField(fund.dim, func, fund.guard)
+    return ScalarField(fund.dim, func, fund.guard, fund.guard_rows)
 
 
-def eval_F(fund: FundamentalFunction, y) -> float:
-    """F(y) on the guarded domain."""
+def eval_F(fund: FundamentalFunction, y):
+    """F(y) on the guarded domain: a float, or one value per row of an (R, n) y."""
     y = np.asarray(y, dtype=float)
-    if not fund.guard(y):
+    if y.ndim not in (1, 2) or y.shape[-1] != fund.dim:
         raise DomainViolation(f"point {y} is outside the guarded domain")
-    return float(fund.value(list(y)))
+    rows = y.reshape(-1, fund.dim)
+    inside = fund.guard_rows(rows)
+    if not inside.all():
+        raise DomainViolation(f"point {rows[inside.argmin()]} is outside the guarded domain")
+    values = fund.value([rows[:, k:k + 1] for k in range(fund.dim)])[:, 0]
+    return float(values[0]) if y.ndim == 1 else values
 
 
 def metric_tensor(fund: FundamentalFunction, y) -> MetricTensor:
-    """The metric generated by F at y; raises NotPositiveDefinite if degenerate."""
+    """The metric generated by F at y (a point or stacked rows).
+
+    Raises NotPositiveDefinite if degenerate.
+    """
     y = np.asarray(y, dtype=float)
     _, _, g = grad_hess(energy_field(fund), y)
     cholesky(g)  # SPD check; NotPositiveDefinite propagates

@@ -3,8 +3,10 @@
 Everything here works on plain numpy arrays of modest order (<= 16 in
 practice): Cholesky factorization, orthonormal frame completion around a
 unit normal, a cyclic Jacobi eigensolver, quadratic forms, and the
-normal-deflated trace used by the curvature formulas. All functions are
-pure; nothing is cached or mutated.
+normal-deflated trace used by the curvature formulas. Cholesky, frame
+completion, quadratic forms and the trace reduction also take stacks
+(leading axes before the vector or matrix axes) and treat every entry
+of the stack alone. All functions are pure; nothing is cached or mutated.
 """
 
 from __future__ import annotations
@@ -30,26 +32,36 @@ PIVOT_REL_TOL = 1e-13
 
 
 def _as_square(a) -> np.ndarray:
+    """A square matrix, or a stack of them."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def _as_symmetric(a) -> np.ndarray:
+def _as_symmetric(a, stack: bool = True) -> np.ndarray:
     a = _as_square(a)
-    if not np.array_equal(a, a.T):
+    if not stack and a.ndim != 2:
+        raise DimensionMismatch(f"expected one square matrix, got shape {a.shape}")
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ValueError("matrix is not symmetric")
     return a
 
 
 def _as_unit(v) -> np.ndarray:
+    """A unit vector, or a stack of them."""
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
+    if v.ndim < 1:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > UNIT_TOL):
         raise NotUnit("vector is not unit length")
     return v
+
+
+def _first(values, mask):
+    """The entry of ``values`` at the first True of ``mask``, or None."""
+    mask = np.asarray(mask)
+    return np.ravel(values)[mask.argmax()] if mask.any() else None
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,8 @@ class TangentFrame:
     """Orthonormal basis of the hyperplane orthogonal to a unit normal.
 
     ``basis`` has shape (n-1, n); its rows together with ``normal`` form an
-    orthonormal basis of R^n.
+    orthonormal basis of R^n. A stack of P frames has ``normal`` of shape
+    (P, n) and ``basis`` of shape (P, n-1, n).
     """
 
     ambient_dim: int
@@ -66,34 +79,38 @@ class TangentFrame:
 
     def __post_init__(self):
         n = self.ambient_dim
-        if self.normal.shape != (n,) or self.basis.shape != (n - 1, n):
+        if (self.normal.shape[-1:] != (n,)
+                or self.basis.shape != self.normal.shape[:-1] + (n - 1, n)):
             raise DimensionMismatch("frame arrays have inconsistent shapes")
-        gram = self.basis @ self.basis.T
+        gram = self.basis @ np.swapaxes(self.basis, -1, -2)
         if np.max(np.abs(gram - np.eye(n - 1))) > FRAME_TOL:
             raise ValueError("tangent basis is not orthonormal")
-        if np.max(np.abs(self.basis @ self.normal)) > FRAME_TOL:
+        if np.max(np.abs(self.basis @ self.normal[..., None])) > FRAME_TOL:
             raise ValueError("tangent basis is not orthogonal to the normal")
 
 
 def cholesky(g) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == g, for SPD input g.
+    """Lower-triangular L with L @ L.T == g, for SPD input g (or a stack).
 
     Raises NotPositiveDefinite as soon as a pivot drops below
-    PIVOT_REL_TOL times the largest diagonal entry.
+    PIVOT_REL_TOL times the largest diagonal entry of its matrix.
     """
     g = _as_symmetric(g)
-    n = g.shape[0]
+    n = g.shape[-1]
     if n < 1:
         raise DimensionMismatch("matrix order must be >= 1")
-    floor = PIVOT_REL_TOL * float(np.max(np.diag(g)))
+    floor = PIVOT_REL_TOL * np.diagonal(g, axis1=-2, axis2=-1).max(axis=-1)
     low = np.zeros_like(g)
     for j in range(n):
-        pivot = g[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= floor:
-            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {j}")
-        low[j, j] = np.sqrt(pivot)
-        for i in range(j + 1, n):
-            low[i, j] = (g[i, j] - low[i, :j] @ low[j, :j]) / low[j, j]
+        row = low[..., j, :j]
+        pivot = g[..., j, j] - (row * row).sum(axis=-1)
+        bad = _first(pivot, pivot <= floor)
+        if bad is not None:
+            raise NotPositiveDefinite(f"pivot {bad:.3e} at column {j}")
+        diag = np.sqrt(pivot)
+        low[..., j, j] = diag
+        below = (low[..., j + 1:, :j] * row[..., None, :]).sum(axis=-1)
+        low[..., j + 1:, j] = (g[..., j + 1:, j] - below) / diag[..., None]
     return low
 
 
@@ -104,20 +121,18 @@ def complete_frame(normal) -> TangentFrame:
     first coordinate axis and returns the images of the remaining axes.
     The target axis is -e1 whenever normal[0] > 0.5, which keeps the
     reflection well conditioned near normal = e1; as a consequence
-    complete_frame(e1) is exactly {e2, ..., en}.
+    complete_frame(e1) is exactly {e2, ..., en}. A (P, n) stack of
+    normals gives a stack of P frames.
     """
     normal = _as_unit(normal)
-    n = normal.size
+    n = normal.shape[-1]
     if n < 2:
         raise DimensionMismatch("ambient dimension must be >= 2")
-    sign = -1.0 if normal[0] > 0.5 else 1.0
     u = normal.copy()
-    u[0] -= sign  # u = normal - sign*e1, never close to zero
-    beta = 2.0 / (u @ u)
-    basis = np.empty((n - 1, n))
-    for k in range(1, n):
-        basis[k - 1] = -(beta * u[k]) * u
-        basis[k - 1, k] += 1.0
+    u[..., 0] -= np.where(normal[..., 0] > 0.5, -1.0, 1.0)  # normal - sign*e1, never ~0
+    beta = 2.0 / np.sum(u * u, axis=-1)
+    basis = -(beta[..., None] * u[..., 1:])[..., None] * u[..., None, :]
+    basis[..., np.arange(n - 1), np.arange(1, n)] += 1.0
     normal = normal.copy()
     normal.flags.writeable = False
     basis.flags.writeable = False
@@ -131,7 +146,7 @@ def sym_eigensystem(a, tol: float = 1e-12, max_sweeps: int = 50):
     below ``tol`` times the largest entry of ``a``. Returns (w, q) with
     a == q @ diag(w) @ q.T.
     """
-    a = _as_symmetric(a).copy()
+    a = _as_symmetric(a, stack=False).copy()
     n = a.shape[0]
     q = np.eye(n)
     scale = float(np.max(np.abs(a))) if n > 0 else 0.0
@@ -150,15 +165,14 @@ def sym_eigensystem(a, tol: float = 1e-12, max_sweeps: int = 50):
                     t /= abs(theta) + np.sqrt(theta * theta + 1.0)
                     c = 1.0 / np.sqrt(t * t + 1.0)
                     s = t * c
-                    for m in (a,):
-                        col_p = m[:, p].copy()
-                        col_r = m[:, r].copy()
-                        m[:, p] = c * col_p - s * col_r
-                        m[:, r] = s * col_p + c * col_r
-                        row_p = m[p, :].copy()
-                        row_r = m[r, :].copy()
-                        m[p, :] = c * row_p - s * row_r
-                        m[r, :] = s * row_p + c * row_r
+                    col_p = a[:, p].copy()
+                    col_r = a[:, r].copy()
+                    a[:, p] = c * col_p - s * col_r
+                    a[:, r] = s * col_p + c * col_r
+                    row_p = a[p, :].copy()
+                    row_r = a[r, :].copy()
+                    a[p, :] = c * row_p - s * row_r
+                    a[r, :] = s * row_p + c * row_r
                     col_p = q[:, p].copy()
                     col_r = q[:, r].copy()
                     q[:, p] = c * col_p - s * col_r
@@ -176,27 +190,30 @@ def sym_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 50) -> np.ndarray:
     return w
 
 
-def quadratic_form(a, u, v) -> float:
-    """sum_ij a[i,j] u[i] v[j]."""
+def quadratic_form(a, u, v):
+    """sum_ij a[i,j] u[i] v[j]; a float, or an array for stacked inputs."""
     a = _as_square(a)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != (a.shape[0],) or v.shape != (a.shape[0],):
+    if u.shape != a.shape[:-1] or v.shape != a.shape[:-1]:
         raise DimensionMismatch("vector lengths do not match matrix order")
-    return float(u @ a @ v)
+    value = (u[..., None, :] @ a @ v[..., :, None])[..., 0, 0]
+    return float(value) if value.ndim == 0 else value
 
 
-def trace_reduction(a, normal) -> float:
+def trace_reduction(a, normal):
     """tr(a) minus the normal-normal component: tr(a) - N a N^T.
 
     Equals the trace of ``a`` restricted (as an operator) to the
-    hyperplane orthogonal to the unit vector ``normal``.
+    hyperplane orthogonal to the unit vector ``normal``. Stacks of
+    matrices and normals give an array of traces.
     """
     a = _as_symmetric(a)
     normal = _as_unit(normal)
-    if normal.size != a.shape[0]:
+    if normal.shape != a.shape[:-1]:
         raise DimensionMismatch("normal length does not match matrix order")
-    return float(np.trace(a)) - quadratic_form(a, normal, normal)
+    value = np.trace(a, axis1=-2, axis2=-1) - quadratic_form(a, normal, normal)
+    return float(value) if a.ndim == 2 else value
 
 
 def projected_trace(a, normal) -> float:
@@ -207,7 +224,7 @@ def projected_trace(a, normal) -> float:
     same quantity as trace_reduction; the two are cross-checked in the
     test suite and by the CLI lemma-test command.
     """
-    a = _as_symmetric(a)
+    a = _as_symmetric(a, stack=False)
     frame = complete_frame(normal)
     total = 0.0
     for x in frame.basis:

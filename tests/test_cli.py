@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import finslercurv.cli as cli
+from finslercurv import indicatrix as ind
 from finslercurv.exceptions import UsageError
 from finslercurv.metrics import parse_metric_spec
 
@@ -103,6 +104,24 @@ class TestVerifyCommand:
         assert abs(float(row[4]) - 1.0) <= 1e-12  # F column, 17 digits round-trips
         assert abs(float(row[5]) - 1.0) <= 1e-10  # H column
 
+    def test_csv_reuses_sampled_points(self, capsys, monkeypatch):
+        sample = ind.sample_indicatrix
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(ind, "sample_indicatrix", counted)
+        code = cli.main(["verify", "--metric", "pnorm:p=4", "--dim", "3",
+                         "--samples", "9", "--format", "csv"])
+        assert code == 0
+        assert len(calls) == 1
+        fund = parse_metric_spec("pnorm:p=4", 3)
+        points = sample(fund, 9, 42)
+        assert capsys.readouterr().out == cli._csv_rows(
+            points, ind.adapted_reports(fund, points), fund)
+
     def test_determinism_across_threads(self, tmp_path, monkeypatch):
         outputs = []
         for threads in ("1", "8", "1"):
@@ -115,10 +134,15 @@ class TestVerifyCommand:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_bad_thread_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("FINSLER_THREADS", "many")
-        assert cli.main(["verify", "--metric", "euclidean", "--dim", "2",
-                         "--samples", "1"]) == 2
+    def test_text_output_byte_identical(self, capsysbinary):
+        argv = ["verify", "--metric", "randers:a=1,1,1,b=0.4,0,0", "--dim", "3",
+                "--samples", "40"]
+        outputs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert b"result                 = PASS (tol 1e-08)\n" in outputs[0]
 
     def test_output_io_error(self, capsys):
         code = cli.main(["verify", "--metric", "euclidean", "--dim", "2",
@@ -134,6 +158,18 @@ class TestOtherCommands:
         assert code == 0
         assert abs(payload["H"] - 1.0) <= 1e-12
         assert payload["normalized"] is False
+
+    def test_curvature_negative_point(self, capsys):
+        outputs = []
+        for point_args in (["--point", "-0.35,0.2"], ["--point=-0.35,0.2"]):
+            code = cli.main(["curvature", "--metric", "euclidean", "--dim", "2",
+                             "--format", "json"] + point_args)
+            outputs.append(capsys.readouterr().out)
+            assert code == 0
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0])
+        assert payload["normalized"] is True
+        assert payload["point"][0] < 0.0 < payload["point"][1]
 
     def test_curvature_normalizes_off_indicatrix_points(self, capsys):
         code = cli.main(["curvature", "--metric", "euclidean", "--dim", "2",

@@ -11,6 +11,16 @@ from conftest import catalog, seeded_randers
 FAMILIES = ("euclidean", "quadratic", "randers", "pnorm", "mroot")
 
 
+def report_bits(rep):
+    """Every number of a report, as exact hex strings."""
+    point = rep.point
+    arrays = (point.y, point.metric.entries, point.chol, point.y_adapted, rep.principal)
+    scalars = (rep.H, rep.residual_H, rep.residual_trace, rep.residual_umbilic,
+               rep.oracle_gap, rep.path_gap, rep.normal_residual, rep.grad_norm_residual)
+    return ([float(v).hex() for a in arrays for v in np.ravel(a)]
+            + [float(v).hex() for v in scalars] + [rep.method])
+
+
 class TestDefiningField:
     def test_euclidean(self):
         fld = fc.defining_field(fc.euclidean(3))
@@ -134,6 +144,32 @@ class TestAdaptedReport:
             assert rep.residual_H <= 1e-6
             assert rep.residual_trace <= 1e-6
 
+    @pytest.mark.parametrize("bad", ["off_surface", "singular_chol", "stencil_off_guard"])
+    def test_bad_point_isolated_in_chunk(self, bad):
+        fund = catalog(3)["pnorm"]
+        points = fc.sample_indicatrix(fund, 12, 37)
+        p = points[5]
+        if bad == "off_surface":
+            y = 1.1 * p.y
+            points[5] = ind.IndicatrixPoint(y, p.metric, p.chol, p.chol.T @ y)
+        elif bad == "singular_chol":
+            points[5] = ind.IndicatrixPoint(p.y, p.metric, np.zeros((3, 3)), p.y_adapted)
+        else:
+            # just inside the guard band around y_3 = 0: the stencil leaves it
+            y = fc.normalize_to_indicatrix(fund, [1.0, 0.8, 0.010001 * np.sqrt(1.64)])
+            points[5] = fc.indicatrix_point(fund, y)
+        with pytest.raises(Exception) as solo:
+            fc.adapted_report(fund, points[5])
+        batch = fc.adapted_reports(fund, points)
+        failures = [item for item in batch if isinstance(item, Exception)]
+        assert len(failures) == 1 and failures[0] is batch[5]
+        assert type(batch[5]) is solo.type
+        assert str(batch[5]) == str(solo.value)
+        for index, point in enumerate(points):
+            if index != 5:
+                assert report_bits(batch[index]) == \
+                    report_bits(fc.adapted_report(fund, point))
+
     def test_unknown_method_rejected(self):
         fund = fc.euclidean(2)
         point = fc.sample_indicatrix(fund, 1, 1)[0]
@@ -167,18 +203,43 @@ class TestVerifyClaims:
         assert not summary.passed
         assert summary.stats["hyperdual"].failures
 
-    def test_thread_count_invariance(self):
-        fund = catalog(3)["randers"]
-        serial = fc.verify_claims(fund, count=20, seed=5, tol=1e-8,
-                                  methods=("hyperdual",), threads=1)
-        parallel = fc.verify_claims(fund, count=20, seed=5, tol=1e-8,
-                                    methods=("hyperdual",), threads=8)
-        a = serial.stats["hyperdual"]
-        b = parallel.stats["hyperdual"]
+    def test_batch_composition_invariance(self):
+        # n = 6: below n = 5 the stacked BLAS paths hid a layout dependence
+        fund = catalog(6)["randers"]
+        batched = fc.verify_claims(fund, count=20, seed=5, tol=1e-8,
+                                   methods=("hyperdual",))
+        solo = [fc.adapted_report(fund, p) for p in batched.points]
+        a = batched.stats["hyperdual"]
+        b = ind._aggregate("hyperdual", solo, 1e-8)
         assert (a.max_residual_H, a.mean_residual_H, a.max_residual_trace,
                 a.max_residual_umbilic, a.max_oracle_gap) == \
                (b.max_residual_H, b.mean_residual_H, b.max_residual_trace,
                 b.max_residual_umbilic, b.max_oracle_gap)
+        for x, y in zip(batched.reports["hyperdual"], solo):
+            assert report_bits(x) == report_bits(y)
+        for fam in FAMILIES:
+            fund = catalog(6)[fam]
+            short = fc.verify_claims(fund, count=7, seed=8, methods=("hyperdual",))
+            long = fc.verify_claims(fund, count=41, seed=8, methods=("hyperdual",))
+            for x, y in zip(short.reports["hyperdual"], long.reports["hyperdual"]):
+                assert report_bits(x) == report_bits(y), fam
+
+    def test_value_calls_do_not_grow_with_points(self, monkeypatch):
+        calls = []
+        value = FundamentalFunction.value
+
+        def counted(self, z):
+            calls.append(1)
+            return value(self, z)
+
+        monkeypatch.setattr(FundamentalFunction, "value", counted)
+        counts = []
+        for count in (1, 5, ind.CHUNK_ROWS):
+            calls.clear()
+            fc.verify_claims(catalog(3)["randers"], count=count, seed=5,
+                             methods=("hyperdual",))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
 
     def test_near_degenerate_stress(self):
         a, b = seeded_randers(3, 31, strength=0.99)
