@@ -8,8 +8,11 @@ Subcommands:
   lemma-test  randomized cross-check of the normal-deflated trace
               against the explicit projection route
 
-Exit codes: 0 all checks passed, 1 a claim check failed, 2 usage or I/O
-error. Output is byte-identical for identical arguments, in every format.
+Exit codes: 0 all checks passed, 1 a claim check failed, 2 usage, input
+or I/O error, including a package error raised outside a per-point
+failure record (a point outside the metric's domain, a sampler out of
+retries). Output is byte-identical for identical arguments, in every
+format.
 Points are evaluated in fixed-size chunks on one thread; a point that
 fails gets its own failure record and the rest of the batch goes on.
 """
@@ -17,6 +20,7 @@ fails gets its own failure record and the rest of the batch goes on.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import indicatrix as ind
-from .exceptions import UsageError
-from .metrics import eval_F, parse_metric_spec
+from .exceptions import FinslerError, UsageError
+from .metrics import FundamentalFunction, eval_F, parse_metric_spec
 from .numkernel import projected_trace, trace_reduction
 
 FORMATS = ("json", "csv", "text")
@@ -45,6 +49,7 @@ class RunConfig:
     fmt: str = "text"
     point: np.ndarray | None = None
     trials: int = 1000
+    fund: FundamentalFunction | None = None  # built from metric_spec by parse_args
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use."""
+    return build_parser()
+
+
 def _join_point_value(argv) -> list:
     """Rewrite ``--point -0.35,0.2`` as ``--point=-0.35,0.2``.
 
@@ -109,7 +120,7 @@ def _join_point_value(argv) -> list:
 
 def parse_args(argv) -> RunConfig:
     """Parse and validate the command line into a RunConfig."""
-    ns = build_parser().parse_args(_join_point_value(argv))
+    ns = _parser().parse_args(_join_point_value(argv))
     config = RunConfig(command=ns.command)
     config.metric_spec = getattr(ns, "metric", None)
     config.dim = ns.dim
@@ -143,8 +154,8 @@ def parse_args(argv) -> RunConfig:
 
     if config.metric_spec is not None:
         # Validate the metric spec eagerly so bad specs fail with exit 2.
-        fund = parse_metric_spec(config.metric_spec, config.dim)
-        config.dim = fund.dim
+        config.fund = parse_metric_spec(config.metric_spec, config.dim)
+        config.dim = config.fund.dim
     elif config.command == "lemma-test":
         if config.dim is None:
             config.dim = 3
@@ -190,7 +201,7 @@ def _csv_rows(points, reports, fund) -> str:
 
 
 def _run_verify(config: RunConfig) -> int:
-    fund = parse_metric_spec(config.metric_spec, config.dim)
+    fund = config.fund
     summary = ind.verify_claims(
         fund, count=config.samples, seed=config.seed, tol=config.tol,
         methods=(config.method,), fd_step=config.fd_step, label=config.metric_spec)
@@ -231,7 +242,7 @@ def _run_verify(config: RunConfig) -> int:
 
 
 def _run_curvature(config: RunConfig) -> int:
-    fund = parse_metric_spec(config.metric_spec, config.dim)
+    fund = config.fund
     y = config.point
     normalized = False
     if abs(eval_F(fund, y) - 1.0) > 1e-10:
@@ -276,7 +287,7 @@ def _run_curvature(config: RunConfig) -> int:
 
 
 def _run_sample(config: RunConfig) -> int:
-    fund = parse_metric_spec(config.metric_spec, config.dim)
+    fund = config.fund
     points = ind.sample_indicatrix(fund, config.samples, config.seed)
     reports = ind.adapted_reports(fund, points, method=config.method,
                                   fd_step=config.fd_step)
@@ -334,18 +345,18 @@ def run(config: RunConfig) -> int:
     }
     try:
         return handlers[config.command](config)
-    except UsageError:
-        raise
     except OSError as exc:
         raise UsageError(f"i/o error: {exc}") from exc
 
 
 def main(argv=None) -> int:
+    """Run the command line; a package error outside per-point isolation exits 2."""
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
         return run(config)
-    except UsageError as exc:
-        print(f"finslercurv: error: {exc}", file=sys.stderr)
+    except FinslerError as exc:
+        message = " ".join(str(exc).split())  # one line, even for a wrapped array
+        print(f"finslercurv: error: {message}", file=sys.stderr)
         return 2
 
 

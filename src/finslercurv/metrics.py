@@ -116,6 +116,8 @@ def _spd_matrix(a, what: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParams(f"{what} must be a square matrix")
+    if not np.isfinite(a).all():
+        raise InvalidParams(f"{what} must have finite entries")
     if not np.allclose(a, a.T, rtol=0.0, atol=0.0):
         raise InvalidParams(f"{what} must be symmetric")
     try:
@@ -144,8 +146,10 @@ def randers(a, b) -> FundamentalFunction:
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise InvalidParams("randers covector length must match the matrix order")
+    if not np.isfinite(b).all():
+        raise InvalidParams("randers covector must have finite entries")
     s = float(b @ np.linalg.solve(a, b))
-    if s >= 1.0 - RANDERS_MARGIN:
+    if not s < 1.0 - RANDERS_MARGIN:
         raise InvalidParams(f"randers data not strongly convex: b^T a^-1 b = {s:.6f}")
     return FundamentalFunction("randers", a.shape[0], matrix=a, drift=b)
 
@@ -153,11 +157,18 @@ def randers(a, b) -> FundamentalFunction:
 def _even_exponent(value, name: str) -> int:
     try:
         e = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParams(f"{name} must be an integer") from None
     if e != value or e < 2 or e % 2 != 0:
         raise InvalidParams(f"{name} must be an even integer >= 2, got {value!r}")
     return e
+
+
+def _guard_margin(value) -> float:
+    margin = float(value)
+    if not 0.0 <= margin < 1.0:
+        raise InvalidParams(f"guard_margin must be a finite number in [0, 1), got {value!r}")
+    return margin
 
 
 def pnorm(dim: int, p, guard_margin: float = DEFAULT_GUARD_MARGIN) -> FundamentalFunction:
@@ -165,7 +176,7 @@ def pnorm(dim: int, p, guard_margin: float = DEFAULT_GUARD_MARGIN) -> Fundamenta
     if dim < 2:
         raise InvalidParams("dim must be >= 2")
     return FundamentalFunction("pnorm", dim, exponent=_even_exponent(p, "p"),
-                               guard_margin=guard_margin)
+                               guard_margin=_guard_margin(guard_margin))
 
 
 def mroot(dim: int, m, guard_margin: float = DEFAULT_GUARD_MARGIN) -> FundamentalFunction:
@@ -173,7 +184,7 @@ def mroot(dim: int, m, guard_margin: float = DEFAULT_GUARD_MARGIN) -> Fundamenta
     if dim < 2:
         raise InvalidParams("dim must be >= 2")
     return FundamentalFunction("mroot", dim, exponent=_even_exponent(m, "m"),
-                               guard_margin=guard_margin)
+                               guard_margin=_guard_margin(guard_margin))
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,47 @@ class TestParseArgs:
         assert cli.main(["verify", "--metric", "pnorm:p=3", "--dim", "3"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--metric", "randers:a=1,1,b=inf,0", "--dim", "2"],
+         "randers covector must have finite entries"),
+        (["verify", "--metric", "quadratic:A=1,1,nan"],
+         "quadratic matrix must have finite entries"),
+    ])
+    def test_non_finite_parameters_exit_two(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"finslercurv: error: {message}\n"
+
+    def test_parser_built_once(self, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for _ in range(3):
+            cli.parse_args(["curvature", "--metric", "euclidean", "--dim", "3",
+                            "--point", "0,0,1"])
+        cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_metric_spec_parsed_once(self, capsys, monkeypatch):
+        calls = []
+        parse = cli.parse_metric_spec
+
+        def counted(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(cli, "parse_metric_spec", counted)
+        for command in ("verify", "sample"):
+            calls.clear()
+            assert cli.main([command, "--metric", "pnorm:p=4", "--dim", "3",
+                             "--samples", "3"]) == 0
+            assert len(calls) == 1
+
 
 class TestVerifyCommand:
     def test_euclidean_json(self, capsys):
@@ -187,6 +228,19 @@ class TestOtherCommands:
         assert len(out) == 8
         for line in out[1:]:
             assert abs(float(line.split(",")[4]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("argv, message", [
+        (["curvature", "--metric", "euclidean", "--dim", "3", "--point", "0,0,0"],
+         "point [0. 0. 0.] is outside the guarded domain"),
+        (["verify", "--metric", "pnorm:p=4", "--dim", "16"],
+         "more than 100000 rejected draws for 100 samples"),
+    ])
+    def test_library_error_exits_two(self, capsys, argv, message):
+        # exit 1 means "claim failed"; a package error is an input error
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"finslercurv: error: {message}")
+        assert err.count("\n") == 1
 
     def test_lemma_test(self, capsys):
         code = cli.main(["lemma-test", "--trials", "1000", "--dim", "6",

@@ -82,6 +82,34 @@ class TestSampling:
         for a, b in zip(short, first):
             assert np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("family", ["pnorm", "mroot"])
+    def test_prefix_stable_with_retries(self, family):
+        # the guarded families reject most draws at n = 6, so rounds retry
+        fund = catalog(6)[family]
+        runs = [fc.sample_indicatrix(fund, count, 42)
+                for count in (1, 7, ind.CHUNK_ROWS + 9)]
+        longest = runs[-1]
+        for run in runs[:-1]:
+            for a, b in zip(run, longest):
+                assert np.array_equal(a.y, b.y)
+                assert np.array_equal(a.chol, b.chol)
+
+    def test_one_generator_per_retry_round(self, monkeypatch):
+        # per-draw generators would make at least `count` calls
+        fund = catalog(6)["pnorm"]
+        keys = []
+        default_rng = np.random.default_rng
+
+        def counted(seed=None):
+            keys.append(list(seed))
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        count = ind.CHUNK_ROWS + 9
+        fc.sample_indicatrix(fund, count, 42)
+        assert 1 < len(keys) < count
+        assert keys == [[42, retry] for retry in range(len(keys))]
+
     def test_rejection_overflow(self):
         # a guard excluding almost everything
         fund = FundamentalFunction("pnorm", 3, exponent=4, guard_margin=0.9)
@@ -220,7 +248,8 @@ class TestVerifyClaims:
         for fam in FAMILIES:
             fund = catalog(6)[fam]
             short = fc.verify_claims(fund, count=7, seed=8, methods=("hyperdual",))
-            long = fc.verify_claims(fund, count=41, seed=8, methods=("hyperdual",))
+            long = fc.verify_claims(fund, count=ind.CHUNK_ROWS + 9, seed=8,
+                                    methods=("hyperdual",))
             for x, y in zip(short.reports["hyperdual"], long.reports["hyperdual"]):
                 assert report_bits(x) == report_bits(y), fam
 

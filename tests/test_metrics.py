@@ -60,6 +60,28 @@ class TestConstruction:
         with pytest.raises(InvalidParams):
             fc.quadratic(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_non_finite_randers_covector_rejected(self):
+        # b^T a^-1 b is NaN here, which a plain `>=` comparison lets through
+        with pytest.raises(InvalidParams, match="covector must have finite entries"):
+            fc.randers(np.eye(2), [np.inf, 0.0])
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(InvalidParams, match="matrix must have finite entries"):
+            fc.quadratic(np.diag([1.0, 1.0, np.nan]))
+        with pytest.raises(InvalidParams, match="matrix must have finite entries"):
+            fc.randers(np.diag([1.0, np.inf]), [0.1, 0.0])
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -0.1, 1.0])
+    def test_bad_guard_margin_rejected(self, margin):
+        with pytest.raises(InvalidParams, match="guard_margin"):
+            fc.pnorm(3, 4, guard_margin=margin)
+        with pytest.raises(InvalidParams, match="guard_margin"):
+            fc.mroot(3, 6, guard_margin=margin)
+
+    def test_infinite_exponent_rejected(self):
+        with pytest.raises(InvalidParams):
+            fc.pnorm(3, np.inf)
+
 
 class TestMetricTensor:
     def test_euclidean_identity(self):
