@@ -19,8 +19,9 @@ gradients alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -230,27 +231,92 @@ class ScalarField:
     a predicate on real n-vectors; func is only ever invoked where the
     guard holds. ``guard_rows``, if given, is the same predicate on every
     row of an (R, n) array at once, returning R booleans.
+
+    ``pre``, if given, is a linear pre-map B: the field's value at z is
+    func(B z), and its derivatives are taken in z. B is one (n, n) matrix,
+    or a (P, n, n) stack whose p-th matrix applies to the p-th of P equal
+    consecutive blocks of the stacked rows. The guard is checked at B z,
+    where func is evaluated.
     """
 
     dim: int
     func: Callable
     guard: Callable[[np.ndarray], bool] = dc_field(default=_always)
     guard_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    pre: np.ndarray | None = None
+
+
+class _Seeds(NamedTuple):
+    """Read-only derivative seeds for one dimension n."""
+
+    first: np.ndarray   # index pairs (first[j], second[j]) of the upper triangle
+    second: np.ndarray
+    diagonal: np.ndarray  # first == second
+    eye: np.ndarray     # gradient seeds: row k is the direction of coordinate k
+    d1: np.ndarray      # Hessian seeds: row k is 1 where first == k
+    d2: np.ndarray      # row k is 1 where second == k
+
+
+@functools.cache
+def _seeds(n: int) -> _Seeds:
+    first, second = np.triu_indices(n)
+    eye = np.eye(n)
+    seeds = _Seeds(first, second, first == second, eye, eye[:, first], eye[:, second])
+    for table in seeds:
+        table.setflags(write=False)
+    return seeds
+
+
+def _pulled_back(fld: ScalarField, rows: np.ndarray) -> np.ndarray:
+    """B z for every row z of ``rows`` (R, n).
+
+    The sum runs over k in ascending order from +0.0, the order in which a
+    field composed from dual products would accumulate it.
+    """
+    if fld.pre is None:
+        return rows
+    n = fld.dim
+    stack = fld.pre.reshape(-1, n, n)
+    if len(rows) % len(stack):
+        raise DimensionMismatch(f"{len(rows)} rows do not split among {len(stack)} points")
+    grouped = rows.reshape(len(stack), -1, n)
+    w = 0.0
+    for k in range(n):
+        w = w + stack[:, None, :, k] * grouped[:, :, k:k + 1]
+    return w.reshape(rows.shape)
+
+
+def _seed_rows(fld: ScalarField, plain: np.ndarray, columns, rows: int) -> np.ndarray:
+    """Seed table whose entry i seeds coordinate i of the field's argument.
+
+    Without a pre-map this is ``plain`` (n, m); with one it is each point's
+    B[:, columns] repeated over that point's block of rows, as (n, rows, m)
+    so that each coordinate's seeds are contiguous.
+    """
+    if fld.pre is None:
+        return plain
+    n = fld.dim
+    stack = fld.pre.reshape(-1, n, n)[..., columns]
+    return np.repeat(stack.transpose(1, 0, 2), rows // len(stack), axis=1)
 
 
 def _guarded_rows(fld: ScalarField, y) -> np.ndarray:
-    """``y`` as (R, n) rows, checked against the field's dimension and guard."""
+    """The (R, n) rows w = B z where the field is evaluated, for ``y`` as rows z.
+
+    z is checked against the field's dimension and w against its guard.
+    """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != fld.dim:
         raise DimensionMismatch(f"point shape {y.shape} does not match dim {fld.dim}")
     rows = y.reshape(-1, fld.dim)
+    w = _pulled_back(fld, rows)
     if fld.guard_rows is not None:
-        inside = np.asarray(fld.guard_rows(rows), dtype=bool)
+        inside = np.asarray(fld.guard_rows(w), dtype=bool)
     else:
-        inside = np.array([fld.guard(row) for row in rows], dtype=bool)
+        inside = np.array([fld.guard(row) for row in w], dtype=bool)
     if not inside.all():
         raise DomainViolation(f"point {rows[inside.argmin()]} is outside the field's domain")
-    return rows
+    return w
 
 
 def gradients(fld: ScalarField, y):
@@ -258,18 +324,21 @@ def gradients(fld: ScalarField, y):
 
     ``y`` is one point (n,), giving (float, (n,)), or stacked rows (R, n),
     giving ((R,), (R, n)); all rows go through one field evaluation with n
-    slots. The gradient is bit-identical to the one grad_hess returns.
+    slots. Coordinate i of w = B z is seeded as Dual(w_i, B[i, :]), so the
+    slots carry derivatives in z. The gradient is bit-identical to the one
+    grad_hess returns.
     """
-    rows = _guarded_rows(fld, y)
+    w = _guarded_rows(fld, y)
     n = fld.dim
-    eye = np.eye(n)
-    out = fld.func([Dual(rows[:, k:k + 1], eye[k]) for k in range(n)])
+    seed = _seed_rows(fld, _seeds(n).eye, slice(None), len(w))
+    coords = w.T.copy()  # row i: coordinate i of every point, contiguous
+    out = fld.func([Dual(coords[i, :, None], seed[i]) for i in range(n)])
     if isinstance(out, Dual):
         real, first = out.real, out.d1
     else:  # constant field
         real, first = out, 0.0
-    value = np.broadcast_to(np.asarray(real, dtype=float), (len(rows), 1))[:, 0]
-    grad = np.broadcast_to(np.asarray(first, dtype=float), rows.shape).copy()
+    value = np.broadcast_to(np.asarray(real, dtype=float), (len(w), 1))[:, 0]
+    grad = np.broadcast_to(np.asarray(first, dtype=float), w.shape).copy()
     if np.ndim(y) == 1:
         return float(value[0]), grad[0]
     return value.copy(), grad
@@ -280,25 +349,29 @@ def grad_hess(fld: ScalarField, y):
 
     ``y`` is one point (n,), giving (float, (n,), (n, n)), or stacked rows
     (R, n), giving ((R,), (R, n), (R, n, n)). One field evaluation carries
-    all rows and all n(n+1)/2 index pairs; the mixed coefficient of pair
-    (i, j) is exactly d2f/dyi dyj, so the returned Hessian is symmetric by
-    construction (the (j, i) entry is the mirrored copy of the same number).
+    all rows and all n(n+1)/2 index pairs (first, second): coordinate i of
+    w = B z is seeded as HyperDual(w_i, B[i, first], B[i, second]), so the
+    mixed coefficient of a pair is exactly d2f/dz_first dz_second and the
+    returned Hessian is symmetric by construction (the (j, i) entry is the
+    mirrored copy of the same number).
     """
-    rows = _guarded_rows(fld, y)
+    w = _guarded_rows(fld, y)
     n = fld.dim
-    first, second = np.triu_indices(n)
-    eye = np.eye(n)
-    d1, d2 = eye[:, first], eye[:, second]
-    out = fld.func([HyperDual(rows[:, k:k + 1], d1[k], d2[k]) for k in range(n)])
+    seeds = _seeds(n)
+    first, second = seeds.first, seeds.second
+    d1 = _seed_rows(fld, seeds.d1, first, len(w))
+    d2 = _seed_rows(fld, seeds.d2, second, len(w))
+    coords = w.T.copy()  # row i: coordinate i of every point, contiguous
+    out = fld.func([HyperDual(coords[i, :, None], d1[i], d2[i]) for i in range(n)])
     if isinstance(out, HyperDual):
         real, slope, mixed = out.real, out.d1, out.d12
     else:  # constant field
         real, slope, mixed = out, 0.0, 0.0
-    count, m = len(rows), first.size
+    count, m = len(w), first.size
     value = np.broadcast_to(np.asarray(real, dtype=float), (count, 1))[:, 0]
     slope = np.broadcast_to(np.asarray(slope, dtype=float), (count, m))
     mixed = np.broadcast_to(np.asarray(mixed, dtype=float), (count, m))
-    grad = np.ascontiguousarray(slope[:, first == second])  # C order, as for one row
+    grad = np.ascontiguousarray(slope[:, seeds.diagonal])  # C order, as for one row
     hess = np.empty((count, n, n))
     hess[:, first, second] = mixed
     hess[:, second, first] = mixed
@@ -310,8 +383,9 @@ def grad_hess(fld: ScalarField, y):
 def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     """Central-difference value/gradient/Hessian, O(h^2) accurate.
 
-    Steps are h times max(1, ||y||). Entirely independent of the
-    hyper-dual path; used as the oracle against it. Raises
+    Steps are h times max(1, ||y||), taken in the field's coordinates z
+    (before any pre-map). Entirely independent of the hyper-dual path;
+    used as the oracle against it. Raises
     DomainViolation if any stencil point leaves the guard.
     """
     y = np.asarray(y, dtype=float)
@@ -322,9 +396,10 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     step = h * scale
 
     def f(point: np.ndarray) -> float:
-        if not fld.guard(point):
+        w = _pulled_back(fld, point[None])[0]
+        if not fld.guard(w):
             raise DomainViolation(f"stencil point {point} is outside the domain")
-        return float(fld.func(list(point)))
+        return float(fld.func(list(w)))
 
     value = f(y)
     plus = np.empty(n)

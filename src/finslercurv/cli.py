@@ -185,12 +185,16 @@ def _fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _f_values(fund, points) -> list:
+    """F at every point's y, from one stacked evaluation."""
+    return eval_F(fund, np.stack([point.y for point in points])).tolist()
+
+
 def _csv_rows(points, reports, fund) -> str:
     n = fund.dim
     header = "index," + ",".join(f"y_{i + 1}" for i in range(n)) + ",F,H,residual_H"
     lines = [header]
-    f_vals = eval_F(fund, np.stack([point.y for point in points]))
-    for index, (point, rep, f_val) in enumerate(zip(points, reports, f_vals)):
+    for index, (point, rep, f_val) in enumerate(zip(points, reports, _f_values(fund, points))):
         coords = ",".join(_fmt17(v) for v in point.y)
         if isinstance(rep, Exception):
             lines.append(f"{index},{coords},{_fmt17(f_val)},nan,nan")
@@ -244,10 +248,10 @@ def _run_verify(config: RunConfig) -> int:
 def _run_curvature(config: RunConfig) -> int:
     fund = config.fund
     y = config.point
-    normalized = False
-    if abs(eval_F(fund, y) - 1.0) > 1e-10:
-        y = ind.normalize_to_indicatrix(fund, y)
-        normalized = True
+    f_val = eval_F(fund, y)
+    normalized = abs(f_val - 1.0) > 1e-10
+    if normalized:
+        y = y / f_val  # normalize_to_indicatrix, with F already evaluated
     point = ind.indicatrix_point(fund, y)
     rep = ind.adapted_report(fund, point, method=config.method, fd_step=config.fd_step)
     ok = (rep.residual_H <= config.tol and rep.residual_trace <= config.tol
@@ -293,9 +297,9 @@ def _run_sample(config: RunConfig) -> int:
                                   fd_step=config.fd_step)
     if config.fmt == "json":
         rows = []
-        for index, (point, rep) in enumerate(zip(points, reports)):
-            row = {"index": index, "y": [float(v) for v in point.y],
-                   "F": eval_F(fund, point.y)}
+        for index, (point, rep, f_val) in enumerate(
+                zip(points, reports, _f_values(fund, points))):
+            row = {"index": index, "y": [float(v) for v in point.y], "F": f_val}
             if isinstance(rep, Exception):
                 row["error"] = str(rep)
             else:

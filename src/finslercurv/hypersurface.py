@@ -17,6 +17,7 @@ eps negates the shape operator and the mean curvature.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +64,22 @@ class ShapeOperatorMatrix:
     """The (n-1) x (n-1) shape-operator matrix in an orthonormal frame.
 
     For stacked rows ``entries`` is (P, n-1, n-1), ``principal_curvatures``
-    (P, n-1) and ``mean`` (P,).
+    (P, n-1) and ``mean`` (P,). Those two are computed from ``entries`` on
+    first read, so a caller that needs only the matrix pays for no
+    eigensolve.
     """
 
     frame: TangentFrame
     entries: np.ndarray
-    principal_curvatures: np.ndarray
-    mean: float
+
+    @functools.cached_property
+    def principal_curvatures(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.entries)
+
+    @functools.cached_property
+    def mean(self):
+        mean = np.trace(self.entries, axis1=-2, axis2=-1) / self.entries.shape[-1]
+        return float(mean) if self.entries.ndim == 2 else mean
 
 
 def _check_grad_norm(grad_norm) -> None:
@@ -114,14 +124,6 @@ def unit_normal(ev: DefiningEvaluation, epsilon: int = 1) -> OrientedNormal:
     return OrientedNormal(direction, epsilon, ev.grad_norm)
 
 
-def _assemble(frame: TangentFrame, entries: np.ndarray) -> ShapeOperatorMatrix:
-    principal = np.linalg.eigvalsh(entries)
-    mean = np.trace(entries, axis1=-2, axis2=-1) / entries.shape[-1]
-    if entries.ndim == 2:
-        mean = float(mean)
-    return ShapeOperatorMatrix(frame, entries, principal, mean)
-
-
 def shape_operator(ev: DefiningEvaluation, normal: OrientedNormal,
                    frame: TangentFrame | None = None) -> ShapeOperatorMatrix:
     """Shape-operator matrix from the projected Hessian of f.
@@ -140,7 +142,7 @@ def shape_operator(ev: DefiningEvaluation, normal: OrientedNormal,
     basis = frame.basis
     full = coef * (basis @ ev.hessian @ np.swapaxes(basis, -1, -2))
     entries = np.triu(full) + np.swapaxes(np.triu(full, 1), -1, -2)
-    return _assemble(frame, entries)
+    return ShapeOperatorMatrix(frame, entries)
 
 
 def mean_curvature_trace(ev: DefiningEvaluation, normal: OrientedNormal):
@@ -181,4 +183,4 @@ def weingarten_oracle(fld: ScalarField, y, epsilon: int = 1, h: float = 1e-5,
     derivs = (normals[..., 0, :] - normals[..., 1, :]) / (2.0 * step[..., None, None])
     raw = SIGN_CONVENTION * frame.basis @ np.swapaxes(derivs, -1, -2)  # X_a . D_b N
     entries = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-    return _assemble(frame, entries)
+    return ShapeOperatorMatrix(frame, entries)

@@ -10,10 +10,13 @@ principal curvature equal to 1 (total umbilicity). Reports record the
 numerical residuals of each of those statements, plus the gap to the
 finite-difference Weingarten oracle.
 
-Points are processed CHUNK_ROWS at a time: each stage of a report runs
-once per chunk on stacked rows. A chunk in which any point raises is
-redone point by point, so every point gets exactly the outcome it would
-get alone.
+Points are processed chunk_points(n) at a time, a count sized so that
+the widest stacked array of a chunk stays within CHUNK_SLOTS: each stage
+of a report runs once per chunk on stacked rows, and the pull-back to
+adapted coordinates rides in the derivative seeds (ScalarField.pre), so
+it adds no dual arithmetic. A chunk in which any point raises is redone
+by halves down to the failing point, so every point gets exactly the
+outcome it would get alone.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .autodiff import Dual, ScalarField, fd_grad_hess, grad_hess
-from .exceptions import DimensionMismatch, FinslerError, RejectionOverflow
+from .autodiff import ScalarField, fd_grad_hess, grad_hess
+from .exceptions import FinslerError, RejectionOverflow
 from .hypersurface import (
     defining_evaluation,
     evaluate_defining,
@@ -39,14 +42,24 @@ from .numkernel import cholesky
 
 METHODS = ("hyperdual", "fd")
 
-# Points per batched evaluation. Larger chunks cost peak memory (the
-# oracle stacks 2(n-1) stencil rows per point) and gain less and less
-# speed. Catalog sweep (5 families x n in {2,3,4,6} x 200 points), chunk
-# sizes timed interleaved in one process, median of 5 rounds, 2-core
-# Xeon, Python 3.11, numpy 2.4: chunk 32/64/128/200 -> 0.51/0.32/0.29/
-# 0.24 s; peak RSS of a fresh process 46.8/-/47.7/48.2 MB. 128 takes most
-# of the gain for under 1 MB.
-CHUNK_ROWS = 128
+# Stacked width budget of one chunk, in derivative slots. The Weingarten
+# oracle stacks 2(n-1) stencil rows of n first-order slots per point, the
+# widest array of a report; 7680 is that width for 128 points at n = 6.
+# A chunk has a fixed cost (a one-point chunk takes 0.9 ms at n = 2 and
+# 1.0-1.9 ms at n = 6, each further point 0.002-0.05 ms), so
+# chunk_points(n) fills the budget: 1920 points at n = 2, 640 at 3, 320
+# at 4, 192 at 5. It never drops below 128 points, which take most of the
+# batching gain at every n (catalog sweep, interleaved in one process,
+# median of 5 rounds, 2-core Xeon, Python 3.11, numpy 2.4: 32/64/128/200
+# points per chunk -> 0.51/0.32/0.29/0.24 s, fresh-process peak RSS
+# 46.8/-/47.7/48.2 MB).
+CHUNK_SLOTS = 7680
+
+
+def chunk_points(dim: int) -> int:
+    """Points per batched evaluation at dimension ``dim``."""
+    return max(128, CHUNK_SLOTS // (2 * (dim - 1) * dim))
+
 
 # What a single point can raise; such a point gets a failure record and
 # the rest of its batch goes on.
@@ -107,29 +120,32 @@ def normalize_to_indicatrix(fund: FundamentalFunction, direction) -> np.ndarray:
     return d / np.asarray(eval_F(fund, d))[..., None]
 
 
-def _by_chunks(compute, items, keep_errors: bool) -> list:
-    """``compute`` over CHUNK_ROWS items at a time, concatenated.
+def _by_chunks(compute, items, size: int, keep_errors: bool) -> list:
+    """``compute`` over ``size`` items at a time, concatenated.
 
-    A chunk that raises one of POINT_ERRORS is redone item by item: with
-    ``keep_errors`` a failing item's exception takes its place in the
-    result, otherwise the first failing item's exception propagates.
+    A chunk that raises one of POINT_ERRORS is redone by halves, left half
+    first, down to single items: with ``keep_errors`` a failing item's
+    exception takes its place in the result, otherwise the first failing
+    item's exception propagates. One failing item thus costs O(log size)
+    calls, and every other item comes from a sub-batch that succeeded.
     """
     out = []
-    for start in range(0, len(items), CHUNK_ROWS):
-        chunk = items[start:start + CHUNK_ROWS]
-        try:
-            results = compute(chunk)
-        except POINT_ERRORS:
-            results = []
-            for index in range(len(chunk)):
-                try:
-                    results.extend(compute(chunk[index:index + 1]))
-                except POINT_ERRORS as exc:
-                    if not keep_errors:
-                        raise
-                    results.append(exc)
-        out.extend(results)
+    for start in range(0, len(items), size):
+        out.extend(_isolating(compute, items[start:start + size], keep_errors))
     return out
+
+
+def _isolating(compute, items, keep_errors: bool) -> list:
+    try:
+        return compute(items)
+    except POINT_ERRORS as exc:
+        if len(items) == 1:
+            if not keep_errors:
+                raise
+            return [exc]
+    half = len(items) // 2
+    return (_isolating(compute, items[:half], keep_errors)
+            + _isolating(compute, items[half:], keep_errors))
 
 
 def _indicatrix_points(fund: FundamentalFunction, rows: np.ndarray) -> list[IndicatrixPoint]:
@@ -158,7 +174,7 @@ def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[
     are prefixes of longer ones: for a smaller count, every round's
     pending indices are an ascending prefix of the longer run's, so they
     receive the same rows. Metric Hessians and Cholesky factors are
-    computed CHUNK_ROWS points at a time.
+    computed chunk_points(dim) points at a time.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -184,57 +200,24 @@ def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[
         retry += 1
     return _by_chunks(
         lambda rows: _indicatrix_points(fund, normalize_to_indicatrix(fund, rows)),
-        directions, keep_errors=False)
+        directions, chunk_points(fund.dim), keep_errors=False)
 
 
 def adapted_field(fund: FundamentalFunction, point) -> ScalarField:
     """The defining field pulled back to the adapted coordinates of ``point``.
 
     ``point`` is one IndicatrixPoint or a sequence of P of them. The field
-    takes stacked rows grouped by point: of R rows, each consecutive block
-    of R / P rows belongs to one point, in order. Plain float coordinates
-    are accepted for a single point.
+    is the defining field with the pre-map B = chol^-T, which maps adapted
+    coordinates z to original ones w = B z: one (n, n) matrix for a single
+    point, else a (P, n, n) stack, so the field takes stacked rows grouped
+    by point (of R rows, each consecutive block of R / P rows belongs to
+    one point, in order).
     """
     points = [point] if isinstance(point, IndicatrixPoint) else list(point)
-    # maps adapted coords to original ones, one (n, n) matrix per point
     back = np.linalg.inv(np.stack([p.chol for p in points]).swapaxes(-1, -2))
-    used = np.any(back != 0.0, axis=0)
     base = defining_field(fund)
-    n = fund.dim
-
-    def rows_per_point(rows: int) -> int:
-        if rows % len(points):
-            raise DimensionMismatch(f"{rows} rows do not split among {len(points)} points")
-        return rows // len(points)
-
-    def func(z):
-        lead = np.shape(z[0].real if isinstance(z[0], Dual) else z[0])
-        reps = rows_per_point(lead[0]) if lead and len(points) > 1 else None
-        w = []
-        for i in range(n):
-            acc = 0.0
-            for k in range(n):
-                if used[i, k]:
-                    # back[i, k] of each row's point as an (R, 1) column, built
-                    # only when used; one point's scalar broadcasts over its rows
-                    coef = (back[0, i, k] if reps is None
-                            else np.repeat(back[:, i, k], reps)[:, None])
-                    acc = acc + z[k] * coef
-            w.append(acc)
-        return base.func(w)
-
-    def guard_rows(rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        grouped = rows.reshape(len(points), rows_per_point(len(rows)), n)
-        w = back[:, None, :, 0] * grouped[:, :, :1]
-        for k in range(1, n):
-            w = w + back[:, None, :, k] * grouped[:, :, k:k + 1]
-        return base.guard_rows(w.reshape(-1, n))
-
-    def guard(zt) -> bool:
-        return bool(guard_rows(np.asarray(zt, dtype=float)[None])[0])
-
-    return ScalarField(n, func, guard, guard_rows)
+    return ScalarField(fund.dim, base.func, base.guard, base.guard_rows,
+                       back[0] if len(back) == 1 else back)
 
 
 def _check_method(method: str) -> None:
@@ -256,31 +239,36 @@ def _chunk_reports(fund, points, method, fd_step, oracle_step) -> list[Curvature
     shape = shape_operator(ev, normal)
     oracle = weingarten_oracle(fld, z, 1, oracle_step, frame=shape.frame)
     principal = shape.principal_curvatures
-    residual_H = np.abs(h_trace - 1.0)
-    residual_trace = np.abs(np.trace(ev.hessian, axis1=-2, axis2=-1) - fund.dim)
-    residual_umbilic = np.max(np.abs(principal - 1.0), axis=-1)
-    oracle_gap = np.max(np.abs(shape.entries - oracle.entries), axis=(-2, -1))
-    path_gap = np.abs(h_trace - shape.mean)
-    normal_residual = np.max(np.abs(normal.direction - z), axis=-1)
-    grad_norm_residual = np.abs(ev.grad_norm - 1.0)
+    # one list per residual: indexing a list is cheaper than float(array[i])
+    H, residual_H, residual_trace, residual_umbilic, oracle_gap, path_gap, \
+        normal_residual, grad_norm_residual = (values.tolist() for values in (
+            h_trace,
+            np.abs(h_trace - 1.0),
+            np.abs(np.trace(ev.hessian, axis1=-2, axis2=-1) - fund.dim),
+            np.max(np.abs(principal - 1.0), axis=-1),
+            np.max(np.abs(shape.entries - oracle.entries), axis=(-2, -1)),
+            np.abs(h_trace - shape.mean),
+            np.max(np.abs(normal.direction - z), axis=-1),
+            np.abs(ev.grad_norm - 1.0),
+        ))
     return [CurvatureReport(
         point=point,
-        H=float(h_trace[i]),
+        H=H[i],
         principal=principal[i],
-        residual_H=float(residual_H[i]),
-        residual_trace=float(residual_trace[i]),
-        residual_umbilic=float(residual_umbilic[i]),
+        residual_H=residual_H[i],
+        residual_trace=residual_trace[i],
+        residual_umbilic=residual_umbilic[i],
         method=method,
-        oracle_gap=float(oracle_gap[i]),
-        path_gap=float(path_gap[i]),
-        normal_residual=float(normal_residual[i]),
-        grad_norm_residual=float(grad_norm_residual[i]),
+        oracle_gap=oracle_gap[i],
+        path_gap=path_gap[i],
+        normal_residual=normal_residual[i],
+        grad_norm_residual=grad_norm_residual[i],
     ) for i, point in enumerate(points)]
 
 
 def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual",
                     fd_step: float = 1e-5, oracle_step: float = 1e-5) -> list:
-    """adapted_report for every point, CHUNK_ROWS points per batched evaluation.
+    """adapted_report for every point, chunk_points(dim) points per batched evaluation.
 
     A point whose report raises one of POINT_ERRORS gets that exception in
     its place, with the class and message adapted_report raises for it
@@ -289,7 +277,7 @@ def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual"
     _check_method(method)
     return _by_chunks(
         lambda chunk: _chunk_reports(fund, chunk, method, fd_step, oracle_step),
-        list(points), keep_errors=True)
+        list(points), chunk_points(fund.dim), keep_errors=True)
 
 
 def adapted_report(fund: FundamentalFunction, point: IndicatrixPoint,
@@ -365,7 +353,7 @@ def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
                   label: str | None = None) -> VerificationSummary:
     """Sample the indicatrix and verify the constant-curvature claims.
 
-    Sampling and reports run in chunks of CHUNK_ROWS points, each stage
+    Sampling and reports run in chunks of chunk_points(dim) points, each stage
     once per chunk on stacked rows. Per-point failures (residuals above
     ``tol`` or raised errors) are recorded without aborting the batch.
     Output is deterministic for a fixed (seed, count, tol), and each

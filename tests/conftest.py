@@ -54,3 +54,14 @@ def interior_points(fund, count, seed):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(123)
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves without hypothesis
+    pass
+else:
+    # A fixed example sequence and no per-example deadline: runs are
+    # reproducible and do not fail on a slow or drifting machine.
+    settings.register_profile("finslercurv", derandomize=True, deadline=None)
+    settings.load_profile("finslercurv")

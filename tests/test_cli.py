@@ -1,5 +1,8 @@
+import gc
 import json
 import string
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 import finslercurv.cli as cli
 from finslercurv import indicatrix as ind
 from finslercurv.exceptions import UsageError
-from finslercurv.metrics import parse_metric_spec
+from finslercurv.metrics import FundamentalFunction, eval_F, parse_metric_spec
 
 
 def run_cli(argv, capsys=None):
@@ -228,6 +231,88 @@ class TestOtherCommands:
         assert len(out) == 8
         for line in out[1:]:
             assert abs(float(line.split(",")[4]) - 1.0) <= 1e-12
+
+    def test_sample_json_bytes_match_per_point_f(self, capsys):
+        # F comes from one stacked evaluation; the bytes are those of the
+        # per-point form, F evaluated at each point alone
+        argv = ["sample", "--metric", "pnorm:p=4", "--dim", "4", "--samples", "40",
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        fund = parse_metric_spec("pnorm:p=4", 4)
+        points = ind.sample_indicatrix(fund, 40, 42)
+        rows = [{"index": index, "y": [float(v) for v in point.y],
+                 "F": eval_F(fund, point.y), "H": rep.H, "residual_H": rep.residual_H}
+                for index, (point, rep) in enumerate(
+                    zip(points, ind.adapted_reports(fund, points)))]
+        assert out == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sample_value_calls_do_not_grow_with_samples(self, capsys, monkeypatch, fmt):
+        calls = []
+        value = FundamentalFunction.value
+
+        def counted(self, z):
+            calls.append(1)
+            return value(self, z)
+
+        monkeypatch.setattr(FundamentalFunction, "value", counted)
+        counts = []
+        for samples in ("5", "300"):  # one chunk at n = 4
+            calls.clear()
+            assert cli.main(["sample", "--metric", "pnorm:p=4", "--dim", "4",
+                             "--samples", samples, "--format", fmt]) == 0
+            counts.append(len(calls))
+        capsys.readouterr()
+        assert counts[0] == counts[1]
+
+    def test_curvature_evaluates_f_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(fund, y):
+            calls.append(1)
+            return eval_F(fund, y)
+
+        monkeypatch.setattr(cli, "eval_F", counted)
+        monkeypatch.setattr(ind, "eval_F", counted)
+        assert cli.main(["curvature", "--metric", "pnorm:p=4", "--dim", "3",
+                         "--point", "1,-2,1.5"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_repeated_calls_retain_no_memory(self, monkeypatch):
+        # 1000 in-process curvature calls over dims 2-6: nothing may pile
+        # up per call (caches are per dimension, output goes to a sink)
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        rng = np.random.default_rng(5)
+        argvs = []
+        for dim in range(2, 7):
+            diag = ",".join(str(1.0 + k) for k in range(dim))
+            drift = ",".join("0.1" for _ in range(dim))
+            specs = ("euclidean", f"quadratic:A={diag}", f"randers:a={diag},b={drift}",
+                     "pnorm:p=4", "mroot:m=6")
+            for index in range(200):
+                point = rng.uniform(0.5, 1.5, dim) * rng.choice([-1.0, 1.0], dim)
+                argvs.append(["curvature", "--metric", specs[index % 5], "--dim", str(dim),
+                              "--point=" + ",".join(f"{v:.6f}" for v in point)])
+        tracemalloc.start()
+        try:
+            for argv in argvs[::40]:  # warm every dimension and family once
+                cli.main(argv)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for argv in argvs:
+                assert cli.main(argv) in (0, 1)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(argvs) == 1000
+        assert retained < 256 * 1024
 
     @pytest.mark.parametrize("argv, message", [
         (["curvature", "--metric", "euclidean", "--dim", "3", "--point", "0,0,0"],

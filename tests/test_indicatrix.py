@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import finslercurv as fc
+from finslercurv import autodiff, hypersurface
 from finslercurv import indicatrix as ind
+from finslercurv.autodiff import HyperDual
 from finslercurv.exceptions import RejectionOverflow
-from finslercurv.metrics import FundamentalFunction
+from finslercurv.metrics import FundamentalFunction, energy_field
 
 from conftest import catalog, seeded_randers
 
@@ -84,15 +86,17 @@ class TestSampling:
 
     @pytest.mark.parametrize("family", ["pnorm", "mroot"])
     def test_prefix_stable_with_retries(self, family):
-        # the guarded families reject most draws at n = 6, so rounds retry
-        fund = catalog(6)[family]
-        runs = [fc.sample_indicatrix(fund, count, 42)
-                for count in (1, 7, ind.CHUNK_ROWS + 9)]
-        longest = runs[-1]
-        for run in runs[:-1]:
-            for a, b in zip(run, longest):
-                assert np.array_equal(a.y, b.y)
-                assert np.array_equal(a.chol, b.chol)
+        # the guarded families reject most draws at n = 6, so rounds retry;
+        # the longest run crosses a chunk boundary at each n
+        for dim in (2, 6):
+            fund = catalog(dim)[family]
+            runs = [fc.sample_indicatrix(fund, count, 42)
+                    for count in (1, 7, ind.chunk_points(dim) + 9)]
+            longest = runs[-1]
+            for run in runs[:-1]:
+                for a, b in zip(run, longest):
+                    assert np.array_equal(a.y, b.y)
+                    assert np.array_equal(a.chol, b.chol)
 
     def test_one_generator_per_retry_round(self, monkeypatch):
         # per-draw generators would make at least `count` calls
@@ -105,7 +109,7 @@ class TestSampling:
             return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counted)
-        count = ind.CHUNK_ROWS + 9
+        count = ind.chunk_points(6) + 9
         fc.sample_indicatrix(fund, count, 42)
         assert 1 < len(keys) < count
         assert keys == [[42, retry] for retry in range(len(keys))]
@@ -245,13 +249,14 @@ class TestVerifyClaims:
                 b.max_residual_umbilic, b.max_oracle_gap)
         for x, y in zip(batched.reports["hyperdual"], solo):
             assert report_bits(x) == report_bits(y)
-        for fam in FAMILIES:
-            fund = catalog(6)[fam]
-            short = fc.verify_claims(fund, count=7, seed=8, methods=("hyperdual",))
-            long = fc.verify_claims(fund, count=ind.CHUNK_ROWS + 9, seed=8,
-                                    methods=("hyperdual",))
-            for x, y in zip(short.reports["hyperdual"], long.reports["hyperdual"]):
-                assert report_bits(x) == report_bits(y), fam
+        for dim in (2, 6):  # the long run crosses a chunk boundary at each n
+            for fam in FAMILIES:
+                fund = catalog(dim)[fam]
+                short = fc.verify_claims(fund, count=7, seed=8, methods=("hyperdual",))
+                long = fc.verify_claims(fund, count=ind.chunk_points(dim) + 9, seed=8,
+                                        methods=("hyperdual",))
+                for x, y in zip(short.reports["hyperdual"], long.reports["hyperdual"]):
+                    assert report_bits(x) == report_bits(y), (dim, fam)
 
     def test_value_calls_do_not_grow_with_points(self, monkeypatch):
         calls = []
@@ -263,7 +268,7 @@ class TestVerifyClaims:
 
         monkeypatch.setattr(FundamentalFunction, "value", counted)
         counts = []
-        for count in (1, 5, ind.CHUNK_ROWS):
+        for count in (1, 5, ind.chunk_points(3)):
             calls.clear()
             fc.verify_claims(catalog(3)["randers"], count=count, seed=5,
                              methods=("hyperdual",))
@@ -275,3 +280,118 @@ class TestVerifyClaims:
         summary = fc.verify_claims(fc.randers(a, b), count=50, seed=6, tol=1e-6,
                                    methods=("hyperdual",))
         assert summary.passed
+
+
+class TestChunks:
+    def test_chunk_points_by_dimension(self):
+        assert [ind.chunk_points(n) for n in range(2, 8)] == [1920, 640, 320, 192, 128, 128]
+
+    def test_widest_stacked_array_within_budget(self, monkeypatch):
+        # widest = stacked rows x derivative slots of one field evaluation;
+        # the budget is CHUNK_SLOTS, or the width of 128-point chunks where
+        # that is wider, and no dimension gets fewer than 128 points
+        widths = []
+
+        def measured(func, slots):
+            def wrapper(fld, y):
+                widths.append(len(np.reshape(y, (-1, fld.dim))) * slots(fld.dim))
+                return func(fld, y)
+            return wrapper
+
+        hessians = measured(autodiff.grad_hess, lambda n: n * (n + 1) // 2)
+        monkeypatch.setattr(ind, "grad_hess", hessians)
+        monkeypatch.setattr(hypersurface, "grad_hess", hessians)
+        monkeypatch.setattr(hypersurface, "gradients",
+                            measured(autodiff.gradients, lambda n: n))
+        for dim in range(2, 17):
+            fund = fc.euclidean(dim)
+            widths.clear()
+            count = ind.chunk_points(dim)
+            points = fc.sample_indicatrix(fund, count + 1, 3)
+            fc.adapted_reports(fund, points)
+            budget = max(ind.CHUNK_SLOTS, 128 * 2 * (dim - 1) * dim)
+            assert count >= 128
+            assert max(widths) == count * 2 * (dim - 1) * dim <= budget, dim
+
+    def test_bad_point_isolated_by_bisection(self, monkeypatch):
+        fund = catalog(3)["pnorm"]
+        points = fc.sample_indicatrix(fund, 64, 37)
+        p = points[37]
+        y = 1.1 * p.y
+        points[37] = ind.IndicatrixPoint(y, p.metric, p.chol, p.chol.T @ y)
+        calls = []
+        chunk_reports = ind._chunk_reports
+
+        def counted(fund, chunk, *args):
+            calls.append(len(chunk))
+            return chunk_reports(fund, chunk, *args)
+
+        monkeypatch.setattr(ind, "_chunk_reports", counted)
+        batch = fc.adapted_reports(fund, points)
+        assert calls[0] == 64 <= ind.chunk_points(3)
+        assert len(calls) <= 2 * 6 + 1
+        assert [index for index, item in enumerate(batch)
+                if isinstance(item, Exception)] == [37]
+
+    def test_first_failure_propagates_without_keep_errors(self):
+        def compute(items):
+            for item in items:
+                if item % 5 == 3:
+                    raise ValueError(f"bad {item}")
+            return list(items)
+
+        with pytest.raises(ValueError, match="bad 3"):
+            ind._by_chunks(compute, list(range(16)), 8, keep_errors=False)
+        out = ind._by_chunks(compute, list(range(16)), 8, keep_errors=True)
+        assert [str(x) if isinstance(x, Exception) else x for x in out] == \
+            [f"bad {i}" if i % 5 == 3 else i for i in range(16)]
+
+
+class TestMechanism:
+    def test_pull_back_adds_no_dual_arithmetic(self, monkeypatch):
+        fund = catalog(4)["randers"]
+        point = fc.sample_indicatrix(fund, 1, 3)[0]
+        products = []
+        mul = HyperDual.__mul__
+
+        def counted(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(HyperDual, "__mul__", counted)
+        fc.grad_hess(fc.defining_field(fund), point.y)
+        plain = len(products)
+        products.clear()
+        fc.grad_hess(ind.adapted_field(fund, point), point.y_adapted)
+        assert plain > 0 and len(products) == plain
+
+    def test_seed_tables_built_once_per_dimension(self, monkeypatch):
+        calls = []
+        triu_indices = np.triu_indices
+
+        def counted(n, *args, **kwargs):
+            calls.append(n)
+            return triu_indices(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "triu_indices", counted)
+        autodiff._seeds.cache_clear()
+        for _ in range(3):
+            for dim in range(2, 6):
+                fc.grad_hess(energy_field(fc.euclidean(dim)), np.ones((4, dim)))
+        assert sorted(calls) == [2, 3, 4, 5]
+        with pytest.raises(ValueError):
+            autodiff._seeds(3).d1[0, 0] = 2.0  # shared tables are read-only
+
+    def test_one_eigensolve_per_report_chunk(self, monkeypatch):
+        fund = catalog(3)["randers"]
+        points = fc.sample_indicatrix(fund, ind.chunk_points(3) + 5, 3)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(1)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        fc.adapted_reports(fund, points)
+        assert len(calls) == 2
