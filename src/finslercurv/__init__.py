@@ -14,7 +14,6 @@ from .exceptions import (
     DomainViolation,
     FinslerError,
     InvalidParams,
-    NoConvergence,
     NotPositiveDefinite,
     NotUnit,
     OffSurface,
@@ -63,8 +62,6 @@ from .numkernel import (
     complete_frame,
     projected_trace,
     quadratic_form,
-    sym_eigensystem,
-    sym_eigenvalues,
     trace_reduction,
 )
 

@@ -13,8 +13,9 @@ or I/O error, including a package error raised outside a per-point
 failure record (a point outside the metric's domain, a sampler out of
 retries). Output is byte-identical for identical arguments, in every
 format.
-Points are evaluated in fixed-size chunks on one thread; a point that
-fails gets its own failure record and the rest of the batch goes on.
+Points are evaluated chunk_points(n) at a time on one thread (see
+indicatrix); a point that fails gets its own failure record and the
+rest of the batch goes on.
 """
 
 from __future__ import annotations
@@ -190,17 +191,28 @@ def _f_values(fund, points) -> list:
     return eval_F(fund, np.stack([point.y for point in points])).tolist()
 
 
-def _csv_rows(points, reports, fund) -> str:
-    n = fund.dim
-    header = "index," + ",".join(f"y_{i + 1}" for i in range(n)) + ",F,H,residual_H"
-    lines = [header]
+def _point_records(points, reports, fund) -> list[dict]:
+    """One record per point: index, y, F, then H and residual_H or the error."""
+    records = []
     for index, (point, rep, f_val) in enumerate(zip(points, reports, _f_values(fund, points))):
-        coords = ",".join(_fmt17(v) for v in point.y)
+        record = {"index": index, "y": point.y.tolist(), "F": f_val}
         if isinstance(rep, Exception):
-            lines.append(f"{index},{coords},{_fmt17(f_val)},nan,nan")
+            record["error"] = str(rep)
         else:
-            lines.append(f"{index},{coords},{_fmt17(f_val)},"
-                         f"{_fmt17(rep.H)},{_fmt17(rep.residual_H)}")
+            record["H"] = rep.H
+            record["residual_H"] = rep.residual_H
+        records.append(record)
+    return records
+
+
+def _csv_rows(points, reports, fund) -> str:
+    """The point records as CSV; a failed point reads nan for H and residual_H."""
+    header = "index," + ",".join(f"y_{i + 1}" for i in range(fund.dim)) + ",F,H,residual_H"
+    lines = [header]
+    for record in _point_records(points, reports, fund):
+        values = record["y"] + [record["F"], record.get("H", np.nan),
+                                record.get("residual_H", np.nan)]
+        lines.append(",".join([str(record["index"])] + [_fmt17(v) for v in values]))
     return "\n".join(lines) + "\n"
 
 
@@ -254,9 +266,7 @@ def _run_curvature(config: RunConfig) -> int:
         y = y / f_val  # normalize_to_indicatrix, with F already evaluated
     point = ind.indicatrix_point(fund, y)
     rep = ind.adapted_report(fund, point, method=config.method, fd_step=config.fd_step)
-    ok = (rep.residual_H <= config.tol and rep.residual_trace <= config.tol
-          and rep.residual_umbilic <= config.tol
-          and rep.oracle_gap <= ind.ORACLE_GAP_BOUND)
+    ok = ind._aggregate(config.method, [rep], config.tol).passed
     if config.fmt == "json":
         payload = {
             "metric": config.metric_spec,
@@ -296,17 +306,7 @@ def _run_sample(config: RunConfig) -> int:
     reports = ind.adapted_reports(fund, points, method=config.method,
                                   fd_step=config.fd_step)
     if config.fmt == "json":
-        rows = []
-        for index, (point, rep, f_val) in enumerate(
-                zip(points, reports, _f_values(fund, points))):
-            row = {"index": index, "y": [float(v) for v in point.y], "F": f_val}
-            if isinstance(rep, Exception):
-                row["error"] = str(rep)
-            else:
-                row["H"] = rep.H
-                row["residual_H"] = rep.residual_H
-            rows.append(row)
-        _emit(config, json.dumps(rows, indent=2) + "\n")
+        _emit(config, json.dumps(_point_records(points, reports, fund), indent=2) + "\n")
     else:
         # text and csv share the re-ingestible row format
         _emit(config, _csv_rows(points, reports, fund))

@@ -17,10 +17,6 @@ class NotUnit(FinslerError):
     """A vector required to be unit length is not."""
 
 
-class NoConvergence(FinslerError):
-    """An iterative kernel exceeded its sweep budget."""
-
-
 class DomainViolation(FinslerError):
     """A point (or a stencil around it) left a field's guarded domain."""
 

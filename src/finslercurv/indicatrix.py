@@ -65,8 +65,10 @@ def chunk_points(dim: int) -> int:
 # the rest of its batch goes on.
 POINT_ERRORS = (FinslerError, ValueError, ArithmeticError)
 
-# Fixed cross-check bound for the formula-vs-Weingarten gap at the default
-# oracle step; separate from the user tolerance on the claim residuals.
+# Step of the finite-difference Weingarten oracle, and the fixed bound on
+# the formula-vs-oracle gap at that step; separate from the user tolerance
+# on the claim residuals.
+ORACLE_STEP = 1e-5
 ORACLE_GAP_BOUND = 1e-5
 
 # Draws are rejected with this multiple of the metric's guard margin so
@@ -225,8 +227,14 @@ def _check_method(method: str) -> None:
         raise ValueError(f"method must be one of {METHODS}")
 
 
-def _chunk_reports(fund, points, method, fd_step, oracle_step) -> list[CurvatureReport]:
-    """Curvature reports for a chunk of points, every stage run once on stacked rows."""
+def _chunk_reports(fund, points, method, fd_step) -> list[CurvatureReport]:
+    """Curvature reports for a chunk of points, every stage run once on stacked rows.
+
+    The adapted Hessian is a fresh evaluation of the defining field in
+    adapted coordinates, not a transform of the metric stored with each
+    point: it uses that g only through the Cholesky pull-back B = chol^-T,
+    so the claims compare two independent evaluations of g.
+    """
     fld = adapted_field(fund, points)
     z = np.stack([p.y_adapted for p in points])
     if method == "hyperdual":
@@ -237,7 +245,7 @@ def _chunk_reports(fund, points, method, fd_step, oracle_step) -> list[Curvature
     normal = unit_normal(ev, 1)  # outward: the radius vector
     h_trace = mean_curvature_trace(ev, normal)
     shape = shape_operator(ev, normal)
-    oracle = weingarten_oracle(fld, z, 1, oracle_step, frame=shape.frame)
+    oracle = weingarten_oracle(fld, z, 1, ORACLE_STEP, frame=shape.frame)
     principal = shape.principal_curvatures
     # one list per residual: indexing a list is cheaper than float(array[i])
     H, residual_H, residual_trace, residual_umbilic, oracle_gap, path_gap, \
@@ -267,7 +275,7 @@ def _chunk_reports(fund, points, method, fd_step, oracle_step) -> list[Curvature
 
 
 def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual",
-                    fd_step: float = 1e-5, oracle_step: float = 1e-5) -> list:
+                    fd_step: float = 1e-5) -> list:
     """adapted_report for every point, chunk_points(dim) points per batched evaluation.
 
     A point whose report raises one of POINT_ERRORS gets that exception in
@@ -276,16 +284,15 @@ def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual"
     """
     _check_method(method)
     return _by_chunks(
-        lambda chunk: _chunk_reports(fund, chunk, method, fd_step, oracle_step),
+        lambda chunk: _chunk_reports(fund, chunk, method, fd_step),
         list(points), chunk_points(fund.dim), keep_errors=True)
 
 
 def adapted_report(fund: FundamentalFunction, point: IndicatrixPoint,
-                   method: str = "hyperdual", fd_step: float = 1e-5,
-                   oracle_step: float = 1e-5) -> CurvatureReport:
+                   method: str = "hyperdual", fd_step: float = 1e-5) -> CurvatureReport:
     """Curvature residuals at one indicatrix point, in adapted coordinates."""
     _check_method(method)
-    return _chunk_reports(fund, [point], method, fd_step, oracle_step)[0]
+    return _chunk_reports(fund, [point], method, fd_step)[0]
 
 
 @dataclass
@@ -321,6 +328,11 @@ class VerificationSummary:
 
 
 def _aggregate(method: str, reports: list, tol: float) -> MethodStats:
+    """Residual maxima, failure records and the pass rule over ``reports``.
+
+    A batch passes when no report raised, every report's residuals are
+    within ``tol`` and the largest oracle gap is within ORACLE_GAP_BOUND.
+    """
     stats = MethodStats(method)
     residuals = []
     for index, item in enumerate(reports):
@@ -334,8 +346,8 @@ def _aggregate(method: str, reports: list, tol: float) -> MethodStats:
         stats.max_residual_umbilic = max(stats.max_residual_umbilic, item.residual_umbilic)
         stats.max_oracle_gap = max(stats.max_oracle_gap, item.oracle_gap)
         stats.max_path_gap = max(stats.max_path_gap, item.path_gap)
-        if (item.residual_H > tol or item.residual_trace > tol
-                or item.residual_umbilic > tol):
+        if not (item.residual_H <= tol and item.residual_trace <= tol
+                and item.residual_umbilic <= tol):
             stats.failures.append({
                 "index": index,
                 "residual_H": item.residual_H,

@@ -12,9 +12,9 @@ Families:
   pnorm (even p)       F(y) = (sum y_i^p)^(1/p)
   mroot (even m)       F(y) = (sum y_i^m)^(1/m)
 
-For pnorm/mroot the metric tensor degenerates on the coordinate
-hyperplanes, so their guard excludes points with any |y_i| below
-guard_margin * ||y||.
+pnorm and mroot are currently one power sum under two names (POWER_SUMS).
+Its metric tensor degenerates on the coordinate hyperplanes, so the
+guard excludes points with any |y_i| below guard_margin * ||y||.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from .exceptions import DimensionMismatch, DomainViolation, InvalidParams, Usage
 from .numkernel import cholesky
 
 FAMILIES = ("euclidean", "quadratic", "randers", "pnorm", "mroot")
+
+# The power-sum families, each with the name of its exponent parameter.
+POWER_SUMS = {"pnorm": "p", "mroot": "m"}
 
 # Default exclusion band around the coordinate hyperplanes for the
 # pnorm/mroot families, as a fraction of ||y||.
@@ -77,7 +80,7 @@ class FundamentalFunction:
                 if bk != 0.0:
                     lin = lin + zk * bk
             return autodiff.sqrt(_quad(self.matrix, z)) + lin
-        # pnorm / mroot
+        # a power sum
         p = self.exponent
         total = 0.0
         for zk in z:
@@ -99,10 +102,8 @@ class FundamentalFunction:
         return inside
 
     def describe(self) -> str:
-        if self.family in ("pnorm", "mroot"):
-            key = "p" if self.family == "pnorm" else "m"
-            return f"{self.family}:{key}={self.exponent}"
-        return self.family
+        key = POWER_SUMS.get(self.family)
+        return self.family if key is None else f"{self.family}:{key}={self.exponent}"
 
 
 def _sum_squares(z):
@@ -171,20 +172,23 @@ def _guard_margin(value) -> float:
     return margin
 
 
-def pnorm(dim: int, p, guard_margin: float = DEFAULT_GUARD_MARGIN) -> FundamentalFunction:
-    """F(y) = (sum y_i^p)^(1/p) for even p."""
+def _power_sum(family: str, dim: int, exponent, guard_margin) -> FundamentalFunction:
+    """F(y) = (sum y_i^e)^(1/e) for even e, as the power-sum ``family``."""
     if dim < 2:
         raise InvalidParams("dim must be >= 2")
-    return FundamentalFunction("pnorm", dim, exponent=_even_exponent(p, "p"),
+    return FundamentalFunction(family, dim,
+                               exponent=_even_exponent(exponent, POWER_SUMS[family]),
                                guard_margin=_guard_margin(guard_margin))
+
+
+def pnorm(dim: int, p, guard_margin: float = DEFAULT_GUARD_MARGIN) -> FundamentalFunction:
+    """F(y) = (sum y_i^p)^(1/p) for even p."""
+    return _power_sum("pnorm", dim, p, guard_margin)
 
 
 def mroot(dim: int, m, guard_margin: float = DEFAULT_GUARD_MARGIN) -> FundamentalFunction:
-    """F(y) = (sum y_i^m)^(1/m) for even m."""
-    if dim < 2:
-        raise InvalidParams("dim must be >= 2")
-    return FundamentalFunction("mroot", dim, exponent=_even_exponent(m, "m"),
-                               guard_margin=_guard_margin(guard_margin))
+    """F(y) = (sum y_i^m)^(1/m) for even m; currently the same power sum as pnorm."""
+    return _power_sum("mroot", dim, m, guard_margin)
 
 
 @dataclass(frozen=True)
@@ -333,18 +337,14 @@ def parse_metric_spec(spec: str, dim: int | None = None) -> FundamentalFunction:
             except ValueError as exc:
                 raise UsageError(f"bad numeric value in b: {exc}") from exc
             fund = randers(a, b)
-        elif family == "pnorm":
-            if set(params) != {"p"}:
-                raise UsageError("pnorm needs exactly the parameter p")
-            if len(params["p"]) != 1:
-                raise UsageError("p must be a single integer")
-            fund = pnorm(dim if dim is not None else 0, _parse_int(params["p"][0], "p"))
-        else:  # mroot
-            if set(params) != {"m"}:
-                raise UsageError("mroot needs exactly the parameter m")
-            if len(params["m"]) != 1:
-                raise UsageError("m must be a single integer")
-            fund = mroot(dim if dim is not None else 0, _parse_int(params["m"][0], "m"))
+        else:  # a power sum
+            key = POWER_SUMS[family]
+            if set(params) != {key}:
+                raise UsageError(f"{family} needs exactly the parameter {key}")
+            if len(params[key]) != 1:
+                raise UsageError(f"{key} must be a single integer")
+            fund = _power_sum(family, dim if dim is not None else 0,
+                              _parse_int(params[key][0], key), DEFAULT_GUARD_MARGIN)
     except InvalidParams as exc:
         raise UsageError(str(exc)) from exc
     if dim is not None and fund.dim != dim:

@@ -2,11 +2,13 @@
 
 Everything here works on plain numpy arrays of modest order (<= 16 in
 practice): Cholesky factorization, orthonormal frame completion around a
-unit normal, a cyclic Jacobi eigensolver, quadratic forms, and the
-normal-deflated trace used by the curvature formulas. Cholesky, frame
-completion, quadratic forms and the trace reduction also take stacks
-(leading axes before the vector or matrix axes) and treat every entry
-of the stack alone. All functions are pure; nothing is cached or mutated.
+unit normal, quadratic forms, and the normal-deflated trace used by the
+curvature formulas, with an explicit-projection route to the same trace.
+Eigenvalues come from np.linalg.eigvalsh (see
+hypersurface.ShapeOperatorMatrix). Cholesky, frame completion, quadratic
+forms and the trace reduction also take stacks (leading axes before the
+vector or matrix axes) and treat every entry of the stack alone. All
+functions are pure; nothing is cached or mutated.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatch,
-    NoConvergence,
-    NotPositiveDefinite,
-    NotUnit,
-)
+from .exceptions import DimensionMismatch, NotPositiveDefinite, NotUnit
 
 # Orthonormality tolerance for tangent frames.
 FRAME_TOL = 1e-12
@@ -137,57 +134,6 @@ def complete_frame(normal) -> TangentFrame:
     normal.flags.writeable = False
     basis.flags.writeable = False
     return TangentFrame(n, normal, basis)
-
-
-def sym_eigensystem(a, tol: float = 1e-12, max_sweeps: int = 50):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric ``a``.
-
-    Cyclic Jacobi rotations; sweeps stop once every off-diagonal entry is
-    below ``tol`` times the largest entry of ``a``. Returns (w, q) with
-    a == q @ diag(w) @ q.T.
-    """
-    a = _as_symmetric(a, stack=False).copy()
-    n = a.shape[0]
-    q = np.eye(n)
-    scale = float(np.max(np.abs(a))) if n > 0 else 0.0
-    if n > 1 and scale > 0.0:
-        for _ in range(max_sweeps):
-            off = np.max(np.abs(a - np.diag(np.diag(a))))
-            if off <= tol * scale:
-                break
-            for p in range(n - 1):
-                for r in range(p + 1, n):
-                    apr = a[p, r]
-                    if apr == 0.0:
-                        continue
-                    theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                    t = np.sign(theta) if theta != 0.0 else 1.0
-                    t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    col_p = a[:, p].copy()
-                    col_r = a[:, r].copy()
-                    a[:, p] = c * col_p - s * col_r
-                    a[:, r] = s * col_p + c * col_r
-                    row_p = a[p, :].copy()
-                    row_r = a[r, :].copy()
-                    a[p, :] = c * row_p - s * row_r
-                    a[r, :] = s * row_p + c * row_r
-                    col_p = q[:, p].copy()
-                    col_r = q[:, r].copy()
-                    q[:, p] = c * col_p - s * col_r
-                    q[:, r] = s * col_p + c * col_r
-        else:
-            raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], q[:, order]
-
-
-def sym_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 50) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix (Jacobi sweeps)."""
-    w, _ = sym_eigensystem(a, tol=tol, max_sweeps=max_sweeps)
-    return w
 
 
 def quadratic_form(a, u, v):

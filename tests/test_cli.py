@@ -223,6 +223,17 @@ class TestOtherCommands:
         assert payload["normalized"] is True
         assert np.allclose(payload["point"], [0.6, 0.8], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("tol, gap_bound, code", [
+        ("1e-8", 1e-5, 0), ("1e-20", 1e-5, 1), ("1e-8", 0.0, 1)])
+    def test_curvature_verdict_is_the_verify_rule(self, capsys, monkeypatch,
+                                                  tol, gap_bound, code):
+        # the residuals and the oracle gap at this point are nonzero
+        monkeypatch.setattr(ind, "ORACLE_GAP_BOUND", gap_bound)
+        argv = ["--metric", "randers:a=1,1,b=0.4,0", "--dim", "2", "--tol", tol,
+                "--format", "json"]
+        assert cli.main(["curvature", "--point", "0.6,0.8"] + argv) == code
+        assert json.loads(capsys.readouterr().out)["pass"] is (code == 0)
+
     def test_sample_csv(self, capsys):
         code = cli.main(["sample", "--metric", "pnorm:p=4", "--dim", "3",
                          "--samples", "7", "--format", "csv"])

@@ -84,29 +84,50 @@ class TestCompleteFrame:
         assert np.array_equal(fc.complete_frame(v).basis, fc.complete_frame(v).basis)
 
 
+def shape_matrix(entries):
+    """A ShapeOperatorMatrix holding ``entries``, one matrix or a stack.
+
+    Its frame completes e1 in one dimension more; the eigenvalues depend
+    on the entries alone.
+    """
+    entries = np.asarray(entries, dtype=float)
+    normal = np.zeros(entries.shape[:-2] + (entries.shape[-1] + 1,))
+    normal[..., 0] = 1.0
+    return fc.ShapeOperatorMatrix(fc.complete_frame(normal), entries)
+
+
 class TestEigenvalues:
+    """Principal curvatures: the eigensolve every curvature report uses."""
+
     def test_diagonal(self):
-        assert np.allclose(fc.sym_eigenvalues(np.diag([3.0, 1.0, 2.0])),
-                           [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
+        kappa = shape_matrix(np.diag([3.0, 1.0, 2.0])).principal_curvatures
+        assert np.allclose(kappa, [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
 
     def test_two_by_two(self):
-        assert np.allclose(fc.sym_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])),
-                           [1.0, 3.0], rtol=0, atol=1e-12)
+        kappa = shape_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])).principal_curvatures
+        assert np.allclose(kappa, [1.0, 3.0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_reconstruction(self, n):
         rng = np.random.default_rng(300 + n)
-        for _ in range(10):
-            a = random_sym(rng, n)
-            w, q = fc.sym_eigensystem(a)
-            assert np.all(np.diff(w) >= 0)
-            assert np.max(np.abs(q @ np.diag(w) @ q.T - a)) <= 1e-10
-            assert abs(np.sum(w) - np.trace(a)) <= 1e-10
+        stack = np.stack([random_sym(rng, n) for _ in range(10)])
+        stacked = shape_matrix(stack)
+        for a, kappa, mean in zip(stack, stacked.principal_curvatures, stacked.mean):
+            solo = shape_matrix(a)
+            # a stack gives every matrix the bits it gets alone
+            assert np.array_equal(solo.principal_curvatures, kappa)
+            assert solo.mean == mean
+            assert np.all(np.diff(kappa) >= 0)
+            for w in kappa:  # each value is an eigenvalue of a
+                assert np.linalg.svd(a - w * np.eye(n), compute_uv=False)[-1] <= 1e-10
+            assert abs(np.sum(kappa) - np.trace(a)) <= 1e-10
+            assert abs(np.sum(kappa * kappa) - np.sum(a * a)) <= 1e-10
+            assert abs(np.mean(kappa) - mean) <= 1e-12
 
     def test_spd_spectrum_positive(self):
         rng = np.random.default_rng(11)
         for n in (2, 4, 6):
-            assert np.all(fc.sym_eigenvalues(random_spd(rng, n)) > 0)
+            assert np.all(shape_matrix(random_spd(rng, n)).principal_curvatures > 0)
 
 
 class TestQuadraticForm:
