@@ -1,0 +1,8 @@
+"""``python -m finslercurv``: the command line of finslercurv.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,7 @@ inputs yields value, two first partials and one mixed second partial with
 no truncation error.
 
 A central finite-difference engine lives alongside it and is used only as
-an independent cross-check; the two paths share nothing but the field.
+an independent cross-check; the two share only the field and its row layout.
 
 The coefficient slots of a HyperDual may hold floats or numpy arrays.
 Evaluations work on stacked points: real parts are (R, 1) columns, one
@@ -255,13 +255,18 @@ class _Seeds(NamedTuple):
     eye: np.ndarray     # gradient seeds: row k is the direction of coordinate k
     d1: np.ndarray      # Hessian seeds: row k is 1 where first == k
     d2: np.ndarray      # row k is 1 where second == k
+    stencil: np.ndarray  # fd offsets: 0, +e_i, -e_i, then +-e_i +-e_j per pair i < j
 
 
 @functools.cache
 def _seeds(n: int) -> _Seeds:
     first, second = np.triu_indices(n)
     eye = np.eye(n)
-    seeds = _Seeds(first, second, first == second, eye, eye[:, first], eye[:, second])
+    ei, ej = eye[first[first != second]], eye[second[first != second]]
+    pairs = np.stack([ei + ej, ei - ej, ej - ei, -ei - ej], axis=1).reshape(-1, n)
+    stencil = np.concatenate([np.zeros((1, n)), eye, -eye, pairs])
+    seeds = _Seeds(first, second, first == second, eye, eye[:, first], eye[:, second],
+                   stencil)
     for table in seeds:
         table.setflags(write=False)
     return seeds
@@ -300,15 +305,20 @@ def _seed_rows(fld: ScalarField, plain: np.ndarray, columns, rows: int) -> np.nd
     return np.repeat(stack.transpose(1, 0, 2), rows // len(stack), axis=1)
 
 
+def _rows(fld: ScalarField, y) -> np.ndarray:
+    """``y``, one point (n,) or stacked rows (R, n), as (R, n) rows of the field's dimension."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != fld.dim:
+        raise DimensionMismatch(f"point shape {y.shape} does not match dim {fld.dim}")
+    return y.reshape(-1, fld.dim)
+
+
 def _guarded_rows(fld: ScalarField, y) -> np.ndarray:
     """The (R, n) rows w = B z where the field is evaluated, for ``y`` as rows z.
 
     z is checked against the field's dimension and w against its guard.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != fld.dim:
-        raise DimensionMismatch(f"point shape {y.shape} does not match dim {fld.dim}")
-    rows = y.reshape(-1, fld.dim)
+    rows = _rows(fld, y)
     w = _pulled_back(fld, rows)
     if fld.guard_rows is not None:
         inside = np.asarray(fld.guard_rows(w), dtype=bool)
@@ -358,67 +368,53 @@ def grad_hess(fld: ScalarField, y):
     w = _guarded_rows(fld, y)
     n = fld.dim
     seeds = _seeds(n)
-    first, second = seeds.first, seeds.second
-    d1 = _seed_rows(fld, seeds.d1, first, len(w))
-    d2 = _seed_rows(fld, seeds.d2, second, len(w))
+    d1 = _seed_rows(fld, seeds.d1, seeds.first, len(w))
+    d2 = _seed_rows(fld, seeds.d2, seeds.second, len(w))
     coords = w.T.copy()  # row i: coordinate i of every point, contiguous
     out = fld.func([HyperDual(coords[i, :, None], d1[i], d2[i]) for i in range(n)])
     if isinstance(out, HyperDual):
         real, slope, mixed = out.real, out.d1, out.d12
     else:  # constant field
         real, slope, mixed = out, 0.0, 0.0
-    count, m = len(w), first.size
+    count, m = len(w), seeds.first.size
     value = np.broadcast_to(np.asarray(real, dtype=float), (count, 1))[:, 0]
     slope = np.broadcast_to(np.asarray(slope, dtype=float), (count, m))
     mixed = np.broadcast_to(np.asarray(mixed, dtype=float), (count, m))
     grad = np.ascontiguousarray(slope[:, seeds.diagonal])  # C order, as for one row
-    hess = np.empty((count, n, n))
-    hess[:, first, second] = mixed
-    hess[:, second, first] = mixed
-    if np.ndim(y) == 1:
-        return float(value[0]), grad[0], hess[0]
-    return value.copy(), grad, hess
+    return _second_order(y, value, grad, mixed)
 
 
 def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
-    """Central-difference value/gradient/Hessian, O(h^2) accurate.
+    """Central-difference value/gradient/Hessian, O(h^2) accurate, shaped as grad_hess's.
 
-    Steps are h times max(1, ||y||), taken in the field's coordinates z
-    (before any pre-map). Entirely independent of the hyper-dual path;
-    used as the oracle against it. Raises
-    DomainViolation if any stencil point leaves the guard.
+    Steps are h times max(1, ||z||) for each row z, taken before any pre-map;
+    the 2n^2 + 1 stencil points of every row, grouped by row, go through one
+    float evaluation of the field. Independent of the hyper-dual path, and
+    its oracle. Raises DomainViolation if any stencil point leaves the guard.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (fld.dim,):
-        raise DimensionMismatch(f"point shape {y.shape} does not match dim {fld.dim}")
+    rows = _rows(fld, y)
     n = fld.dim
-    scale = max(1.0, float(np.linalg.norm(y)))
-    step = h * scale
+    seeds = _seeds(n)
+    step = h * np.maximum(1.0, np.linalg.norm(rows, axis=-1))[:, None]  # (R, 1)
+    w = _guarded_rows(fld, (rows[:, None, :] + step[:, :, None] * seeds.stencil).reshape(-1, n))
+    coords = w.T.copy()  # row i: coordinate i of every stencil point, contiguous
+    out = fld.func([coords[i, :, None] for i in range(n)])
+    f = np.broadcast_to(np.asarray(out, dtype=float), (len(w), 1)).reshape(len(rows), -1)
+    value, plus, minus, cross = np.split(f, [1, n + 1, 2 * n + 1], axis=1)
+    pp, pm, mp, mm = np.moveaxis(cross.reshape(len(rows), -1, 4), -1, 0)  # signs of i, j
+    upper = np.empty((len(rows), seeds.first.size))
+    upper[:, seeds.diagonal] = (plus - 2.0 * value + minus) / (step * step)
+    upper[:, ~seeds.diagonal] = (pp - pm - mp + mm) / (4.0 * step * step)
+    return _second_order(y, value[:, 0], (plus - minus) / (2.0 * step), upper)
 
-    def f(point: np.ndarray) -> float:
-        w = _pulled_back(fld, point[None])[0]
-        if not fld.guard(w):
-            raise DomainViolation(f"stencil point {point} is outside the domain")
-        return float(fld.func(list(w)))
 
-    value = f(y)
-    plus = np.empty(n)
-    minus = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        plus[i] = f(y + e)
-        minus[i] = f(y - e)
-    grad = (plus - minus) / (2.0 * step)
-    hess = np.zeros((n, n))
-    for i in range(n):
-        hess[i, i] = (plus[i] - 2.0 * value + minus[i]) / (step * step)
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ei[i] = step
-            ej = np.zeros(n)
-            ej[j] = step
-            cross = (f(y + ei + ej) - f(y + ei - ej)
-                     - f(y - ei + ej) + f(y - ei - ej)) / (4.0 * step * step)
-            hess[i, j] = hess[j, i] = cross
-    return value, grad, hess
+def _second_order(y, value, grad, upper):
+    """grad_hess's result: each Hessian mirrors its upper triangle, (R, m) in _seeds order."""
+    n = grad.shape[-1]
+    seeds = _seeds(n)
+    hess = np.empty((len(grad), n, n))
+    hess[:, seeds.first, seeds.second] = upper
+    hess[:, seeds.second, seeds.first] = upper
+    if np.ndim(y) == 1:
+        return float(value[0]), grad[0], hess[0]
+    return value.copy(), grad, hess

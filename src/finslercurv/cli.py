@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import indicatrix as ind
-from .exceptions import FinslerError, UsageError
+from .exceptions import DomainViolation, FinslerError, UsageError
 from .metrics import FundamentalFunction, eval_F, parse_metric_spec
 from .numkernel import projected_trace, trace_reduction
 
@@ -260,7 +260,11 @@ def _run_verify(config: RunConfig) -> int:
 def _run_curvature(config: RunConfig) -> int:
     fund = config.fund
     y = config.point
-    f_val = eval_F(fund, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, point as given
+        f_val = eval_F(fund, y)
+    if not 0.0 < f_val < np.inf:  # also where a coordinate is not finite
+        raise DomainViolation(f"cannot scale point {list(map(float, y))} onto the "
+                              f"indicatrix: F = {f_val}")
     normalized = abs(f_val - 1.0) > 1e-10
     if normalized:
         y = y / f_val  # normalize_to_indicatrix, with F already evaluated
@@ -362,7 +366,3 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())  # one line, even for a wrapped array
         print(f"finslercurv: error: {message}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

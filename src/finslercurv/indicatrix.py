@@ -31,7 +31,6 @@ from .autodiff import ScalarField, fd_grad_hess, grad_hess
 from .exceptions import FinslerError, RejectionOverflow
 from .hypersurface import (
     defining_evaluation,
-    evaluate_defining,
     mean_curvature_trace,
     shape_operator,
     unit_normal,
@@ -42,9 +41,9 @@ from .numkernel import cholesky
 
 METHODS = ("hyperdual", "fd")
 
-# Stacked width budget of one chunk, in derivative slots. The Weingarten
-# oracle stacks 2(n-1) stencil rows of n first-order slots per point, the
-# widest array of a report; 7680 is that width for 128 points at n = 6.
+# Stacked width budget of one chunk, in derivative slots. The Weingarten oracle
+# stacks 2(n-1) stencil rows of n first-order slots per point (fd's 2n^2 + 1
+# float rows are about as wide); 7680 is that width for 128 points at n = 6.
 # A chunk has a fixed cost (a one-point chunk takes 0.9 ms at n = 2 and
 # 1.0-1.9 ms at n = 6, each further point 0.002-0.05 ms), so
 # chunk_points(n) fills the budget: 1920 points at n = 2, 640 at 3, 320
@@ -210,16 +209,15 @@ def adapted_field(fund: FundamentalFunction, point) -> ScalarField:
 
     ``point`` is one IndicatrixPoint or a sequence of P of them. The field
     is the defining field with the pre-map B = chol^-T, which maps adapted
-    coordinates z to original ones w = B z: one (n, n) matrix for a single
-    point, else a (P, n, n) stack, so the field takes stacked rows grouped
-    by point (of R rows, each consecutive block of R / P rows belongs to
-    one point, in order).
+    coordinates z to original ones w = B z, as a (P, n, n) stack (P = 1
+    for a single point), so the field takes stacked rows grouped by point
+    (of R rows, each consecutive block of R / P rows belongs to one point,
+    in order).
     """
     points = [point] if isinstance(point, IndicatrixPoint) else list(point)
     back = np.linalg.inv(np.stack([p.chol for p in points]).swapaxes(-1, -2))
     base = defining_field(fund)
-    return ScalarField(fund.dim, base.func, base.guard, base.guard_rows,
-                       back[0] if len(back) == 1 else back)
+    return ScalarField(fund.dim, base.func, base.guard, base.guard_rows, back)
 
 
 def _check_method(method: str) -> None:
@@ -237,11 +235,8 @@ def _chunk_reports(fund, points, method, fd_step) -> list[CurvatureReport]:
     """
     fld = adapted_field(fund, points)
     z = np.stack([p.y_adapted for p in points])
-    if method == "hyperdual":
-        ev = evaluate_defining(fld, z, on_surface=True)
-    else:
-        parts = [fd_grad_hess(adapted_field(fund, p), p.y_adapted, fd_step) for p in points]
-        ev = defining_evaluation(z, *(np.array(part) for part in zip(*parts)))
+    derive = grad_hess if method == "hyperdual" else lambda f, y: fd_grad_hess(f, y, fd_step)
+    ev = defining_evaluation(z, *derive(fld, z), on_surface=method == "hyperdual")
     normal = unit_normal(ev, 1)  # outward: the radius vector
     h_trace = mean_curvature_trace(ev, normal)
     shape = shape_operator(ev, normal)

@@ -138,11 +138,10 @@ def test_criterion_7_trace_vs_eigenvalue_path(sweep, capsys):
              worst <= 1e-10, f"max path gap = {worst:.3e}")
 
 
-def test_criterion_8_byte_identical_reports(tmp_path, monkeypatch, capsys):
+def test_criterion_8_byte_identical_reports(tmp_path, capsys):
     import finslercurv.cli as cli
     payloads = []
-    for run, threads in enumerate(("1", "1", "8")):
-        monkeypatch.setenv("FINSLER_THREADS", threads)
+    for run in range(3):
         out = tmp_path / f"run_{run}.json"
         code = cli.main(["verify", "--metric", "randers:a=1,1,1,b=0.4,0,0",
                          "--dim", "3", "--samples", "60",

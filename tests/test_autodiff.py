@@ -3,6 +3,7 @@ import pytest
 
 import finslercurv as fc
 from finslercurv import autodiff
+from finslercurv import indicatrix as ind
 from finslercurv.autodiff import HyperDual
 from finslercurv.exceptions import DimensionMismatch, DomainViolation
 
@@ -190,3 +191,26 @@ class TestFiniteDifferences:
                              guard=lambda y: bool(np.all(y > 0.0)))
         with pytest.raises(DomainViolation):
             fc.fd_grad_hess(fld, [1e-7, 1.0], 1e-5)
+
+    def test_stacked_rows_match_row_by_row(self):
+        # a field without a pre-map, and adapted fields with a (P, n, n) one
+        # against their one-point fields; rows at unequal norms get unequal steps
+        cubic, _ = seeded_cubic(4, 11)
+        rows = np.random.default_rng(12).uniform(-1.5, 1.5, (5, 4))
+        fund = fc.pnorm(3, 4)
+        points = fc.sample_indicatrix(fund, 6, 13)
+        cases = [
+            (cubic, rows, [cubic] * len(rows)),
+            (ind.adapted_field(fund, points), np.stack([p.y_adapted for p in points]),
+             [ind.adapted_field(fund, p) for p in points]),
+        ]
+        for fld, stacked, solo_fields in cases:
+            value, grad, hess = fc.fd_grad_hess(fld, stacked, 1e-4)
+            count, n = stacked.shape
+            assert (value.shape, grad.shape, hess.shape) == ((count,), (count, n), (count, n, n))
+            for i, (solo_fld, row) in enumerate(zip(solo_fields, stacked)):
+                v, g, h = fc.fd_grad_hess(solo_fld, row, 1e-4)
+                assert isinstance(v, float) and float(value[i]).hex() == v.hex()
+                assert grad[i].tobytes() == g.tobytes()
+                assert hess[i].tobytes() == h.tobytes()
+                assert np.array_equal(h, h.T)

@@ -70,7 +70,10 @@ class TestParseArgs:
          "randers covector must have finite entries"),
         (["verify", "--metric", "quadratic:A=1,1,nan"],
          "quadratic matrix must have finite entries"),
+        (["curvature", "--metric", "euclidean", "--dim", "3", "--point=inf,1,1"],
+         "cannot scale point [inf, 1.0, 1.0] onto the indicatrix: F = inf"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_parameters_exit_two(self, capsys, argv, message):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"finslercurv: error: {message}\n"
@@ -166,10 +169,9 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == cli._csv_rows(
             points, ind.adapted_reports(fund, points), fund)
 
-    def test_determinism_across_threads(self, tmp_path, monkeypatch):
+    def test_determinism_across_threads(self, tmp_path):
         outputs = []
-        for threads in ("1", "8", "1"):
-            monkeypatch.setenv("FINSLER_THREADS", threads)
+        for _ in range(3):
             path = tmp_path / f"report_{len(outputs)}.json"
             code = cli.main(["verify", "--metric", "quadratic:A=4,1,2",
                              "--dim", "3", "--samples", "40",
@@ -330,7 +332,10 @@ class TestOtherCommands:
          "point [0. 0. 0.] is outside the guarded domain"),
         (["verify", "--metric", "pnorm:p=4", "--dim", "16"],
          "more than 100000 rejected draws for 100 samples"),
+        (["curvature", "--metric", "euclidean", "--dim", "3", "--point", "1e200,1e200,1e200"],
+         "cannot scale point [1e+200, 1e+200, 1e+200] onto the indicatrix: F = inf"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_library_error_exits_two(self, capsys, argv, message):
         # exit 1 means "claim failed"; a package error is an input error
         assert cli.main(argv) == 2

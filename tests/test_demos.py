@@ -1,4 +1,4 @@
-"""The demo scripts and the README's Python quick start run cleanly."""
+"""The demo scripts, the README's Python quick start and ``python -m finslercurv`` run cleanly."""
 
 import os
 import re
@@ -37,3 +37,10 @@ def test_readme_quick_start_passes():
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout.split()[0] == "True"
+
+
+def test_module_entry_point():
+    result = run_python(["-m", "finslercurv", "lemma-test", "--trials", "10"])
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout.startswith("lemma-test dim 3 trials 10 seed 42: ")

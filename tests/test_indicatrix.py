@@ -11,6 +11,8 @@ from finslercurv.metrics import FundamentalFunction, energy_field
 from conftest import catalog, seeded_randers
 
 FAMILIES = ("euclidean", "quadratic", "randers", "pnorm", "mroot")
+BAD_POINT_CASES = [(bad, method) for method in ind.METHODS
+                   for bad in ("off_surface", "singular_chol", "stencil_off_guard")]
 
 
 def report_bits(rep):
@@ -176,8 +178,10 @@ class TestAdaptedReport:
             assert rep.residual_H <= 1e-6
             assert rep.residual_trace <= 1e-6
 
-    @pytest.mark.parametrize("bad", ["off_surface", "singular_chol", "stencil_off_guard"])
-    def test_bad_point_isolated_in_chunk(self, bad):
+    @pytest.mark.parametrize("bad, method", BAD_POINT_CASES,
+                             ids=[bad + ("" if method == "hyperdual" else f"-{method}")
+                                  for bad, method in BAD_POINT_CASES])
+    def test_bad_point_isolated_in_chunk(self, bad, method):
         fund = catalog(3)["pnorm"]
         points = fc.sample_indicatrix(fund, 12, 37)
         p = points[5]
@@ -190,17 +194,20 @@ class TestAdaptedReport:
             # just inside the guard band around y_3 = 0: the stencil leaves it
             y = fc.normalize_to_indicatrix(fund, [1.0, 0.8, 0.010001 * np.sqrt(1.64)])
             points[5] = fc.indicatrix_point(fund, y)
-        with pytest.raises(Exception) as solo:
-            fc.adapted_report(fund, points[5])
-        batch = fc.adapted_reports(fund, points)
-        failures = [item for item in batch if isinstance(item, Exception)]
-        assert len(failures) == 1 and failures[0] is batch[5]
-        assert type(batch[5]) is solo.type
-        assert str(batch[5]) == str(solo.value)
+        # fd checks no on-surface condition: an off-surface point gets a report
+        fails = not (method == "fd" and bad == "off_surface")
+        batch = fc.adapted_reports(fund, points, method=method)
+        failures = [index for index, item in enumerate(batch) if isinstance(item, Exception)]
+        assert failures == ([5] if fails else [])
         for index, point in enumerate(points):
-            if index != 5:
+            if index == 5 and fails:
+                with pytest.raises(Exception) as solo:
+                    fc.adapted_report(fund, point, method=method)
+                assert type(batch[5]) is solo.type
+                assert str(batch[5]) == str(solo.value)
+            else:
                 assert report_bits(batch[index]) == \
-                    report_bits(fc.adapted_report(fund, point))
+                    report_bits(fc.adapted_report(fund, point, method=method))
 
     def test_unknown_method_rejected(self):
         fund = fc.euclidean(2)
@@ -236,27 +243,28 @@ class TestVerifyClaims:
         assert summary.stats["hyperdual"].failures
 
     def test_batch_composition_invariance(self):
-        # n = 6: below n = 5 the stacked BLAS paths hid a layout dependence
-        fund = catalog(6)["randers"]
-        batched = fc.verify_claims(fund, count=20, seed=5, tol=1e-8,
-                                   methods=("hyperdual",))
-        solo = [fc.adapted_report(fund, p) for p in batched.points]
-        a = batched.stats["hyperdual"]
-        b = ind._aggregate("hyperdual", solo, 1e-8)
-        assert (a.max_residual_H, a.mean_residual_H, a.max_residual_trace,
-                a.max_residual_umbilic, a.max_oracle_gap) == \
-               (b.max_residual_H, b.mean_residual_H, b.max_residual_trace,
-                b.max_residual_umbilic, b.max_oracle_gap)
-        for x, y in zip(batched.reports["hyperdual"], solo):
-            assert report_bits(x) == report_bits(y)
-        for dim in (2, 6):  # the long run crosses a chunk boundary at each n
-            for fam in FAMILIES:
-                fund = catalog(dim)[fam]
-                short = fc.verify_claims(fund, count=7, seed=8, methods=("hyperdual",))
-                long = fc.verify_claims(fund, count=ind.chunk_points(dim) + 9, seed=8,
-                                        methods=("hyperdual",))
-                for x, y in zip(short.reports["hyperdual"], long.reports["hyperdual"]):
-                    assert report_bits(x) == report_bits(y), (dim, fam)
+        for method in ind.METHODS:
+            # n = 6: below n = 5 the stacked BLAS paths hid a layout dependence
+            fund = catalog(6)["randers"]
+            batched = fc.verify_claims(fund, count=20, seed=5, tol=1e-8,
+                                       methods=(method,))
+            solo = [fc.adapted_report(fund, p, method=method) for p in batched.points]
+            a = batched.stats[method]
+            b = ind._aggregate(method, solo, 1e-8)
+            assert (a.max_residual_H, a.mean_residual_H, a.max_residual_trace,
+                    a.max_residual_umbilic, a.max_oracle_gap) == \
+                   (b.max_residual_H, b.mean_residual_H, b.max_residual_trace,
+                    b.max_residual_umbilic, b.max_oracle_gap), method
+            for x, y in zip(batched.reports[method], solo):
+                assert report_bits(x) == report_bits(y), method
+            for dim in (2, 6):  # the long run crosses a chunk boundary at each n
+                for fam in FAMILIES:
+                    fund = catalog(dim)[fam]
+                    short = fc.verify_claims(fund, count=7, seed=8, methods=(method,))
+                    long = fc.verify_claims(fund, count=ind.chunk_points(dim) + 9, seed=8,
+                                            methods=(method,))
+                    for x, y in zip(short.reports[method], long.reports[method]):
+                        assert report_bits(x) == report_bits(y), (method, dim, fam)
 
     def test_value_calls_do_not_grow_with_points(self, monkeypatch):
         calls = []
@@ -395,3 +403,25 @@ class TestMechanism:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         fc.adapted_reports(fund, points)
         assert len(calls) == 2
+
+    def test_fd_runs_one_evaluation_per_report_chunk(self, monkeypatch):
+        # a failure only the stacked path raises would be bisected away to
+        # single points, every report still right but the chunk not batched
+        fund = catalog(3)["randers"]
+        points = fc.sample_indicatrix(fund, ind.chunk_points(3) + 5, 3)
+        chunks, evaluations = [], []
+        chunk_reports, fd_grad_hess = ind._chunk_reports, ind.fd_grad_hess
+
+        def counted_chunk(fund, chunk, *args):
+            chunks.append(len(chunk))
+            return chunk_reports(fund, chunk, *args)
+
+        def counted_fd(fld, y, *args, **kwargs):
+            evaluations.append(len(y))
+            return fd_grad_hess(fld, y, *args, **kwargs)
+
+        monkeypatch.setattr(ind, "_chunk_reports", counted_chunk)
+        monkeypatch.setattr(ind, "fd_grad_hess", counted_fd)
+        reports = fc.adapted_reports(fund, points, method="fd")
+        assert not any(isinstance(item, Exception) for item in reports)
+        assert chunks == evaluations == [ind.chunk_points(3), 5]

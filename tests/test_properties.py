@@ -14,7 +14,7 @@ from test_indicatrix import report_bits  # noqa: E402
 
 @st.composite
 def randers_norms(draw):
-    """Randers data: SPD a = r r^T + n I with r entries in [-1, 1], b^T a^-1 b <= 0.9."""
+    """Randers data: SPD a = r r^T + n I with r entries in [-1, 1], b^T a^-1 b <= 0.998."""
     dim = draw(st.integers(2, 8))
     entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     r = np.array(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)))
@@ -22,7 +22,7 @@ def randers_norms(draw):
     a = r @ r.T + dim * np.eye(dim)
     a = 0.5 * (a + a.T)
     b0 = np.array(draw(st.lists(entries, min_size=dim, max_size=dim)))
-    strength = draw(st.floats(0.0, 0.9))
+    strength = draw(st.floats(0.0, 0.998))
     s = float(b0 @ np.linalg.solve(a, b0))
     b = b0 * np.sqrt(strength / s) if s > 0.0 else np.zeros(dim)
     return fc.randers(a, b)
