@@ -305,12 +305,12 @@ def _seed_rows(fld: ScalarField, plain: np.ndarray, columns, rows: int) -> np.nd
     return np.repeat(stack.transpose(1, 0, 2), rows // len(stack), axis=1)
 
 
-def _rows(fld: ScalarField, y) -> np.ndarray:
-    """``y``, one point (n,) or stacked rows (R, n), as (R, n) rows of the field's dimension."""
+def point_rows(y, dim: int) -> np.ndarray:
+    """``y``, one point (n,) or stacked rows (R, n), as (R, n) rows; n must be ``dim``."""
     y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != fld.dim:
-        raise DimensionMismatch(f"point shape {y.shape} does not match dim {fld.dim}")
-    return y.reshape(-1, fld.dim)
+    if y.ndim not in (1, 2) or y.shape[-1] != dim:
+        raise DimensionMismatch(f"point shape {y.shape} does not match dim {dim}")
+    return y.reshape(-1, dim)
 
 
 def _guarded_rows(fld: ScalarField, y) -> np.ndarray:
@@ -318,7 +318,7 @@ def _guarded_rows(fld: ScalarField, y) -> np.ndarray:
 
     z is checked against the field's dimension and w against its guard.
     """
-    rows = _rows(fld, y)
+    rows = point_rows(y, fld.dim)
     w = _pulled_back(fld, rows)
     if fld.guard_rows is not None:
         inside = np.asarray(fld.guard_rows(w), dtype=bool)
@@ -392,7 +392,7 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     float evaluation of the field. Independent of the hyper-dual path, and
     its oracle. Raises DomainViolation if any stencil point leaves the guard.
     """
-    rows = _rows(fld, y)
+    rows = point_rows(y, fld.dim)
     n = fld.dim
     seeds = _seeds(n)
     step = h * np.maximum(1.0, np.linalg.norm(rows, axis=-1))[:, None]  # (R, 1)

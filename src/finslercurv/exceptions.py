@@ -34,7 +34,7 @@ class InvalidParams(FinslerError):
 
 
 class RejectionOverflow(FinslerError):
-    """Rejection sampling exceeded its retry budget."""
+    """Rejection sampling exceeded its retry budget, or could accept no draw at all."""
 
 
 class UsageError(FinslerError):

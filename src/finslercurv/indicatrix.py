@@ -16,14 +16,19 @@ of a report runs once per chunk on stacked rows, and the pull-back to
 adapted coordinates rides in the derivative seeds (ScalarField.pre), so
 it adds no dual arithmetic. A chunk in which any point raises is redone
 by halves down to the failing point, so every point gets exactly the
-outcome it would get alone.
+outcome it would get alone. The per-point records are immutable
+NamedTuples, built a chunk at a time by mapping the record type over the
+chunk's result rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +81,7 @@ ORACLE_GAP_BOUND = 1e-5
 SAMPLING_MARGIN_FACTOR = 15.0
 
 
-@dataclass(frozen=True)
-class IndicatrixPoint:
+class IndicatrixPoint(NamedTuple):
     """A point on the indicatrix with its metric data.
 
     ``y_adapted = chol.T @ y`` is the point in coordinates where the metric
@@ -90,8 +94,7 @@ class IndicatrixPoint:
     y_adapted: np.ndarray
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """Per-point residual record for the constant-curvature claims."""
 
     point: IndicatrixPoint
@@ -154,8 +157,7 @@ def _indicatrix_points(fund: FundamentalFunction, rows: np.ndarray) -> list[Indi
     _, _, g = grad_hess(energy_field(fund), rows)
     low = cholesky(g)  # SPD check and factor at once; NotPositiveDefinite propagates
     adapted = (rows[:, None, :] @ low)[:, 0, :]  # chol.T @ y per row
-    return [IndicatrixPoint(y, MetricTensor(y, gi), li, zi)
-            for y, gi, li, zi in zip(rows, g, low, adapted)]
+    return list(map(IndicatrixPoint, rows, map(MetricTensor, rows, g), low, adapted))
 
 
 def indicatrix_point(fund: FundamentalFunction, y) -> IndicatrixPoint:
@@ -175,13 +177,20 @@ def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[
     are prefixes of longer ones: for a smaller count, every round's
     pending indices are an ascending prefix of the longer run's, so they
     receive the same rows. Metric Hessians and Cholesky factors are
-    computed chunk_points(dim) points at a time.
+    computed chunk_points(dim) points at a time. A guard margin that no
+    direction can meet at this dimension raises RejectionOverflow before
+    the first draw.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if fund.guard_margin > 0.0:
-        draw_guard = dataclasses.replace(
-            fund, guard_margin=SAMPLING_MARGIN_FACTOR * fund.guard_margin).guard_rows
+        margin = SAMPLING_MARGIN_FACTOR * fund.guard_margin
+        # min|y_i| <= |y| / sqrt(n), with equality only on the diagonals
+        if margin * math.sqrt(fund.dim) >= 1.0:
+            raise RejectionOverflow(
+                f"no direction passes the sampling guard min|y_i| >= {margin:g}*|y| "
+                f"at dim {fund.dim}; the largest dim it allows is {math.ceil(margin ** -2) - 1}")
+        draw_guard = dataclasses.replace(fund, guard_margin=margin).guard_rows
     else:
         draw_guard = fund.guard_rows
     directions = np.empty((count, fund.dim))
@@ -215,7 +224,7 @@ def adapted_field(fund: FundamentalFunction, point) -> ScalarField:
     in order).
     """
     points = [point] if isinstance(point, IndicatrixPoint) else list(point)
-    back = np.linalg.inv(np.stack([p.chol for p in points]).swapaxes(-1, -2))
+    back = np.linalg.inv(np.array([p.chol for p in points]).swapaxes(-1, -2))
     base = defining_field(fund)
     return ScalarField(fund.dim, base.func, base.guard, base.guard_rows, back)
 
@@ -234,7 +243,7 @@ def _chunk_reports(fund, points, method, fd_step) -> list[CurvatureReport]:
     so the claims compare two independent evaluations of g.
     """
     fld = adapted_field(fund, points)
-    z = np.stack([p.y_adapted for p in points])
+    z = np.array([p.y_adapted for p in points])
     derive = grad_hess if method == "hyperdual" else lambda f, y: fd_grad_hess(f, y, fd_step)
     ev = defining_evaluation(z, *derive(fld, z), on_surface=method == "hyperdual")
     normal = unit_normal(ev, 1)  # outward: the radius vector
@@ -242,7 +251,7 @@ def _chunk_reports(fund, points, method, fd_step) -> list[CurvatureReport]:
     shape = shape_operator(ev, normal)
     oracle = weingarten_oracle(fld, z, 1, ORACLE_STEP, frame=shape.frame)
     principal = shape.principal_curvatures
-    # one list per residual: indexing a list is cheaper than float(array[i])
+    # one list per residual, so that the records hold Python floats
     H, residual_H, residual_trace, residual_umbilic, oracle_gap, path_gap, \
         normal_residual, grad_norm_residual = (values.tolist() for values in (
             h_trace,
@@ -254,19 +263,9 @@ def _chunk_reports(fund, points, method, fd_step) -> list[CurvatureReport]:
             np.max(np.abs(normal.direction - z), axis=-1),
             np.abs(ev.grad_norm - 1.0),
         ))
-    return [CurvatureReport(
-        point=point,
-        H=H[i],
-        principal=principal[i],
-        residual_H=residual_H[i],
-        residual_trace=residual_trace[i],
-        residual_umbilic=residual_umbilic[i],
-        method=method,
-        oracle_gap=oracle_gap[i],
-        path_gap=path_gap[i],
-        normal_residual=normal_residual[i],
-        grad_norm_residual=grad_norm_residual[i],
-    ) for i, point in enumerate(points)]
+    return list(map(CurvatureReport, points, H, principal, residual_H, residual_trace,
+                    residual_umbilic, repeat(method), oracle_gap, path_gap,
+                    normal_residual, grad_norm_residual))
 
 
 def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual",
@@ -329,27 +328,28 @@ def _aggregate(method: str, reports: list, tol: float) -> MethodStats:
     within ``tol`` and the largest oracle gap is within ORACLE_GAP_BOUND.
     """
     stats = MethodStats(method)
-    residuals = []
+    ok = [item for item in reports if not isinstance(item, Exception)]
+    stats.count = len(ok)
+    if ok:
+        column = CurvatureReport._make(zip(*ok))  # each field holds one value per report
+        # like a running max from 0.0: the first of equal maxima wins, NaN is skipped
+        stats.max_residual_H = max(0.0, *column.residual_H)
+        stats.mean_residual_H = float(np.mean(column.residual_H))
+        stats.max_residual_trace = max(0.0, *column.residual_trace)
+        stats.max_residual_umbilic = max(0.0, *column.residual_umbilic)
+        stats.max_oracle_gap = max(0.0, *column.oracle_gap)
+        stats.max_path_gap = max(0.0, *column.path_gap)
     for index, item in enumerate(reports):
         if isinstance(item, Exception):
             stats.failures.append({"index": index, "error": str(item)})
-            continue
-        stats.count += 1
-        residuals.append(item.residual_H)
-        stats.max_residual_H = max(stats.max_residual_H, item.residual_H)
-        stats.max_residual_trace = max(stats.max_residual_trace, item.residual_trace)
-        stats.max_residual_umbilic = max(stats.max_residual_umbilic, item.residual_umbilic)
-        stats.max_oracle_gap = max(stats.max_oracle_gap, item.oracle_gap)
-        stats.max_path_gap = max(stats.max_path_gap, item.path_gap)
-        if not (item.residual_H <= tol and item.residual_trace <= tol
-                and item.residual_umbilic <= tol):
+        elif not (item.residual_H <= tol and item.residual_trace <= tol
+                  and item.residual_umbilic <= tol):
             stats.failures.append({
                 "index": index,
                 "residual_H": item.residual_H,
                 "residual_trace": item.residual_trace,
                 "residual_umbilic": item.residual_umbilic,
             })
-    stats.mean_residual_H = float(np.mean(residuals)) if residuals else 0.0
     stats.passed = (not stats.failures
                     and stats.max_oracle_gap <= ORACLE_GAP_BOUND)
     return stats

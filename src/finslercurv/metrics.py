@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff
-from .autodiff import ScalarField, grad_hess
-from .exceptions import DimensionMismatch, DomainViolation, InvalidParams, UsageError
+from .autodiff import ScalarField, grad_hess, point_rows
+from .exceptions import DomainViolation, InvalidParams, UsageError
 from .numkernel import cholesky
 
 FAMILIES = ("euclidean", "quadratic", "randers", "pnorm", "mroot")
@@ -191,8 +192,7 @@ def mroot(dim: int, m, guard_margin: float = DEFAULT_GUARD_MARGIN) -> Fundamenta
     return _power_sum("mroot", dim, m, guard_margin)
 
 
-@dataclass(frozen=True)
-class MetricTensor:
+class MetricTensor(NamedTuple):
     """g_ij(y): half the Hessian of F^2, at one point or at stacked rows."""
 
     at: np.ndarray
@@ -210,9 +210,7 @@ def energy_field(fund: FundamentalFunction) -> ScalarField:
 def eval_F(fund: FundamentalFunction, y):
     """F(y) on the guarded domain: a float, or one value per row of an (R, n) y."""
     y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != fund.dim:
-        raise DomainViolation(f"point {y} is outside the guarded domain")
-    rows = y.reshape(-1, fund.dim)
+    rows = point_rows(y, fund.dim)
     inside = fund.guard_rows(rows)
     if not inside.all():
         raise DomainViolation(f"point {rows[inside.argmin()]} is outside the guarded domain")

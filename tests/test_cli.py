@@ -334,6 +334,9 @@ class TestOtherCommands:
          "more than 100000 rejected draws for 100 samples"),
         (["curvature", "--metric", "euclidean", "--dim", "3", "--point", "1e200,1e200,1e200"],
          "cannot scale point [1e+200, 1e+200, 1e+200] onto the indicatrix: F = inf"),
+        (["verify", "--metric", "pnorm:p=4", "--dim", "45", "--samples", "5"],
+         "no direction passes the sampling guard min|y_i| >= 0.15*|y| at dim 45; "
+         "the largest dim it allows is 44"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_library_error_exits_two(self, capsys, argv, message):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,17 @@ class TestSampling:
         fund = FundamentalFunction("pnorm", 3, exponent=4, guard_margin=0.9)
         with pytest.raises(RejectionOverflow):
             fc.sample_indicatrix(fund, 1, 0)
+
+    def test_empty_domain_rejected_before_first_draw(self, monkeypatch):
+        # 0.15 * sqrt(n) > 1 from n = 45 on: no direction passes the guard
+        def no_draws(seed=None):
+            raise AssertionError("a generator was created")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(RejectionOverflow, match=r"at dim 45; the largest dim it allows is 44$"):
+            fc.sample_indicatrix(fc.pnorm(45, 4), 5, 0)
+        with pytest.raises(AssertionError):  # dim 44 goes on to draw
+            fc.sample_indicatrix(fc.pnorm(44, 4), 5, 0)
 
 
 class TestAdaptedReport:
@@ -425,3 +438,120 @@ class TestMechanism:
         reports = fc.adapted_reports(fund, points, method="fd")
         assert not any(isinstance(item, Exception) for item in reports)
         assert chunks == evaluations == [ind.chunk_points(3), 5]
+
+
+def reference_aggregate(method, reports, tol):
+    """_aggregate as a plain running loop over the reports, one at a time."""
+    stats = ind.MethodStats(method)
+    residuals = []
+    for index, item in enumerate(reports):
+        if isinstance(item, Exception):
+            stats.failures.append({"index": index, "error": str(item)})
+            continue
+        stats.count += 1
+        residuals.append(item.residual_H)
+        stats.max_residual_H = max(stats.max_residual_H, item.residual_H)
+        stats.max_residual_trace = max(stats.max_residual_trace, item.residual_trace)
+        stats.max_residual_umbilic = max(stats.max_residual_umbilic, item.residual_umbilic)
+        stats.max_oracle_gap = max(stats.max_oracle_gap, item.oracle_gap)
+        stats.max_path_gap = max(stats.max_path_gap, item.path_gap)
+        if not (item.residual_H <= tol and item.residual_trace <= tol
+                and item.residual_umbilic <= tol):
+            stats.failures.append({
+                "index": index,
+                "residual_H": item.residual_H,
+                "residual_trace": item.residual_trace,
+                "residual_umbilic": item.residual_umbilic,
+            })
+    stats.mean_residual_H = float(np.mean(residuals)) if residuals else 0.0
+    stats.passed = not stats.failures and stats.max_oracle_gap <= ind.ORACLE_GAP_BOUND
+    return stats
+
+
+@pytest.fixture(scope="module")
+def chunk_reports():
+    fund = catalog(3)["randers"]
+    return fc.adapted_reports(fund, fc.sample_indicatrix(fund, 200, 11))
+
+
+def aggregate_cases(reps):
+    nan = float("nan")
+    bad = [fc.DomainViolation("point [1. 0. 0.] is outside the field's domain"),
+           ValueError("singular"), ZeroDivisionError("zero real part")]
+    return {
+        "empty": [],
+        "single": reps[:1],
+        "errors only": bad,
+        "errors mixed": [bad[0], reps[0], reps[1], bad[1], reps[2], bad[2]],
+        "nan residual_H": [reps[0], reps[1]._replace(residual_H=nan), reps[2]],
+        "nan first": [reps[0]._replace(residual_H=nan, residual_trace=nan, oracle_gap=nan),
+                      reps[1]],
+        "nan gaps": [reps[0]._replace(oracle_gap=nan, path_gap=nan, residual_umbilic=nan)],
+        "above tol": [reps[0], reps[1]._replace(residual_trace=1e-6),
+                      reps[2]._replace(residual_umbilic=2e-8, residual_H=3e-8), reps[3]],
+        "oracle gap above bound": [reps[0], reps[1]._replace(oracle_gap=2 * ind.ORACLE_GAP_BOUND)],
+        "equal maxima": [reps[0]._replace(residual_H=1e-12), reps[1]._replace(residual_H=1e-12)],
+        "real chunk": reps,
+        "real chunk with errors": [bad[k % 3] if k % 37 == 5 else rep
+                                   for k, rep in enumerate(reps)],
+    }
+
+
+class TestAggregate:
+    @pytest.mark.parametrize("case", ["empty", "single", "errors only", "errors mixed",
+                                      "nan residual_H", "nan first", "nan gaps", "above tol",
+                                      "oracle gap above bound", "equal maxima", "real chunk",
+                                      "real chunk with errors"])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-15])
+    def test_matches_running_loop(self, chunk_reports, case, tol):
+        reports = aggregate_cases(chunk_reports)[case]
+        got = ind._aggregate("hyperdual", reports, tol)
+        want = reference_aggregate("hyperdual", reports, tol)
+        # repr tells every float apart, NaN included, and keeps failure order
+        assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+        for name in ("max_residual_H", "mean_residual_H", "max_residual_trace",
+                     "max_residual_umbilic", "max_oracle_gap", "max_path_gap"):
+            assert type(getattr(got, name)) is float
+
+
+RECORD_FIELDS = {
+    fc.MetricTensor: ("at", "entries"),
+    fc.IndicatrixPoint: ("y", "metric", "chol", "y_adapted"),
+    fc.CurvatureReport: ("point", "H", "principal", "residual_H", "residual_trace",
+                         "residual_umbilic", "method", "oracle_gap", "path_gap",
+                         "normal_residual", "grad_norm_residual"),
+}
+
+
+class TestRecords:
+    @pytest.fixture(scope="class")
+    def records(self):
+        fund = catalog(3)["pnorm"]
+        rep = fc.adapted_report(fund, fc.sample_indicatrix(fund, 1, 2)[0])
+        return {fc.MetricTensor: rep.point.metric, fc.IndicatrixPoint: rep.point,
+                fc.CurvatureReport: rep}
+
+    @pytest.mark.parametrize("kind", list(RECORD_FIELDS), ids=lambda kind: kind.__name__)
+    def test_field_order(self, records, kind):
+        assert kind._fields == RECORD_FIELDS[kind]
+        record = records[kind]
+        assert all(getattr(record, name) is value
+                   for name, value in zip(RECORD_FIELDS[kind], record))
+
+    @pytest.mark.parametrize("kind", list(RECORD_FIELDS), ids=lambda kind: kind.__name__)
+    def test_positional_and_keyword_construction_agree(self, records, kind):
+        values = list(records[kind])
+        by_position = kind(*values)
+        by_keyword = kind(**dict(zip(RECORD_FIELDS[kind], values)))
+        for name, value in zip(RECORD_FIELDS[kind], values):
+            assert getattr(by_position, name) is value
+            assert getattr(by_keyword, name) is value
+
+    @pytest.mark.parametrize("kind", list(RECORD_FIELDS), ids=lambda kind: kind.__name__)
+    def test_immutable(self, records, kind):
+        record = records[kind]
+        for name in RECORD_FIELDS[kind]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1.0

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import finslercurv as fc
 from finslercurv.exceptions import (
+    DimensionMismatch,
     DomainViolation,
     InvalidParams,
     NotPositiveDefinite,
@@ -38,6 +40,17 @@ class TestEvalF:
     def test_guard_rejects_hyperplane_band(self):
         with pytest.raises(DomainViolation):
             fc.eval_F(fc.pnorm(3, 4), [1.0, 1.0, 1e-4])
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 4)])
+    def test_wrong_shape_is_a_dimension_mismatch(self, shape):
+        # one shape check for the value and for its derivatives
+        fund = fc.euclidean(3)
+        y = np.ones(shape)
+        message = re.escape(f"point shape {shape} does not match dim 3")
+        for evaluate in (lambda: fc.eval_F(fund, y),
+                         lambda: fc.grad_hess(energy_field(fund), y)):
+            with pytest.raises(DimensionMismatch, match=message):
+                evaluate()
 
 
 class TestConstruction:
