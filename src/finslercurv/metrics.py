@@ -9,10 +9,12 @@ Families:
   euclidean            F(y) = ||y||
   quadratic (SPD A)    F(y) = sqrt(y^T A y)
   randers (SPD a, b)   F(y) = sqrt(y^T a y) + b . y,   b^T a^-1 b < 1
-  pnorm (even p)       F(y) = (sum y_i^p)^(1/p)
-  mroot (even m)       F(y) = (sum y_i^m)^(1/m)
+  pnorm (even p)       F(y) = (sum |y_i|^p)^(1/p)
+  mroot (even m)       F(y) = (sum |y_i|^m)^(1/m)
 
 pnorm and mroot are currently one power sum under two names (POWER_SUMS).
+It is evaluated as sum |y_i|^p (autodiff.power), so F(-y) = F(y) holds
+exactly in floating point, on floats and (hyper-)duals alike.
 Its metric tensor degenerates on the coordinate hyperplanes, so the
 guard excludes points with any |y_i| below guard_margin * ||y||.
 """
@@ -85,7 +87,7 @@ class FundamentalFunction:
         p = self.exponent
         total = 0.0
         for zk in z:
-            total = total + zk ** p
+            total = total + autodiff.power(zk, p)
         return total ** (1.0 / p)
 
     def guard(self, y) -> bool:
@@ -115,18 +117,18 @@ def _sum_squares(z):
 
 
 def _spd_matrix(a, what: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    a = np.array(a, dtype=float)  # a copy: the norm owns its matrix
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParams(f"{what} must be a square matrix")
     if not np.isfinite(a).all():
         raise InvalidParams(f"{what} must have finite entries")
-    if not np.allclose(a, a.T, rtol=0.0, atol=0.0):
+    if not np.array_equal(a, a.T):
         raise InvalidParams(f"{what} must be symmetric")
     try:
         cholesky(a)
     except Exception as exc:
         raise InvalidParams(f"{what} must be positive definite") from exc
-    return 0.5 * (a + a.T)  # exact symmetry for downstream kernels
+    return a
 
 
 def euclidean(dim: int) -> FundamentalFunction:

@@ -90,6 +90,67 @@ class TestHyperDualArithmetic:
         assert abs(y.d12) <= 1e-15
 
 
+def ulp_distance(x, y):
+    """Largest number of doubles between x and y, entry by entry; both of one sign."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    assert np.array_equal(np.signbit(x), np.signbit(y))
+    return int(np.max(np.abs(x.view(np.int64) - y.view(np.int64))))
+
+
+def as_kind(column, kind):
+    """(R, 1) ``column`` as itself or as one Python float per entry."""
+    return [column] if kind == "column" else [float(v) for v in column[:, 0]]
+
+
+class TestIntegerPower:
+    """Dual.__pow__ raises |a| to the power and puts the sign back for odd exponents."""
+
+    POSITIVE = np.geomspace(1e-3, 1e3, 257)[:, None]
+    KINDS = ("float", "column")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", range(9))
+    def test_positive_bases_exact(self, kind, k):
+        for a in as_kind(self.POSITIVE, kind):
+            expected = a ** k
+            assert np.array_equal((HyperDual(a) ** k).real * np.ones_like(a), expected)
+            assert np.array_equal(autodiff.power(a, k), expected)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", range(9))
+    def test_negative_bases_within_one_ulp(self, kind, k):
+        for a in as_kind(-self.POSITIVE, kind):
+            real = (HyperDual(a) ** k).real * np.ones_like(a)
+            assert np.all(np.signbit(real) == (k % 2 == 1))
+            assert ulp_distance(real, a ** k) <= 1
+            assert np.array_equal(autodiff.power(a, k), real)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", range(9))
+    def test_special_values_as_numpy(self, kind, k):
+        special = np.array([[-0.0], [0.0], [np.nan], [np.inf], [-np.inf]])
+        for a in as_kind(special, kind):
+            expected = np.asarray(a ** k)
+            with np.errstate(invalid="ignore"):  # inf * 0 in the derivative slots
+                real = np.asarray((HyperDual(a) ** k).real * np.ones_like(a))
+            for got in (real, np.asarray(autodiff.power(a, k))):
+                assert np.array_equal(got, expected, equal_nan=True)
+                assert np.array_equal(np.signbit(got[~np.isnan(got)]),
+                                      np.signbit(expected[~np.isnan(expected)]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_negative_base_derivatives(self, kind, k):
+        # e * a^(e-1) rounds twice, in the power (1 ulp) and in the product, hence 2
+        for a in as_kind(-self.POSITIVE, kind):
+            y = HyperDual(a, 1.0, 1.0, 0.0) ** k
+            first = k * a ** (k - 1)
+            second = k * (k - 1) * a ** (k - 2) if k > 1 else 0.0
+            assert ulp_distance(y.d1, first) <= 2
+            assert ulp_distance(y.d2, first) <= 2
+            assert ulp_distance(y.d12, second) <= 2
+
+
 class TestGradHess:
     def test_polynomial_hand_check(self):
         fld = fc.ScalarField(2, lambda z: z[0] * z[0] * z[1])

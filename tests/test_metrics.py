@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,23 @@ class TestConstruction:
     def test_non_spd_rejected(self):
         with pytest.raises(InvalidParams):
             fc.quadratic(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_one_ulp_asymmetry_rejected(self):
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        a[0, 1] = np.nextafter(0.5, 1.0)
+        for build in (lambda: fc.quadratic(a), lambda: fc.randers(a, [0.1, 0.0])):
+            with pytest.raises(InvalidParams, match="must be symmetric"):
+                build()
+
+    def test_matrix_stored_as_given(self):
+        # no symmetrization: a + a.T would overflow at 1e308
+        a = np.diag([1e308, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fund = fc.quadratic(a)
+        assert np.isfinite(fund.matrix).all() and np.array_equal(fund.matrix, a)
+        a[0, 0] = 1.0
+        assert fund.matrix[0, 0] == 1e308  # the norm keeps its own copy
 
     def test_non_finite_randers_covector_rejected(self):
         # b^T a^-1 b is NaN here, which a plain `>=` comparison lets through

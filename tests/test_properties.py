@@ -1,10 +1,12 @@
-"""Property tests over randomly drawn Randers norms, beyond the seeded catalog."""
+"""Property tests over randomly drawn norms and points, beyond the seeded catalog."""
 
 import numpy as np
 import pytest
 
 import finslercurv as fc
 from finslercurv import indicatrix as ind
+from finslercurv.autodiff import gradients
+from finslercurv.metrics import energy_field
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,12 +49,44 @@ def test_batched_reports_match_solo_and_claims_hold(fund, count, chunk, seed):
     assert stats.max_residual_umbilic <= summary.tol
 
 
+POWER_SUMS = {"pnorm": (fc.pnorm, "p"), "mroot": (fc.mroot, "m")}
+
+
+@st.composite
+def guarded_power_sums(draw):
+    """A power sum with p in {2, 4, 6, 8}, n in 2..8, and 1-6 rows inside its guard.
+
+    Magnitudes in [0.25, 4] keep min|y_i| >= 0.25 > 0.01 * 4 * sqrt(8) >= margin * ||y||.
+    """
+    family = draw(st.sampled_from(sorted(POWER_SUMS)))
+    fund = POWER_SUMS[family][0](draw(st.integers(2, 8)), draw(st.sampled_from((2, 4, 6, 8))))
+    size = draw(st.integers(1, 6)) * fund.dim
+    magnitude = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=size, max_size=size)))
+    negative = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    rows = np.where(negative, -magnitude, magnitude).reshape(-1, fund.dim)
+    assert fund.guard_rows(rows).all()
+    return fund, rows
+
+
+@hypothesis.given(case=guarded_power_sums())
+def test_power_sums_exactly_even(case):
+    # sum |y_i|^p: pow never sees the sign, so F and g are even and grad F odd, bit for bit
+    fund, y = case
+    assert np.array_equal(fc.eval_F(fund, -y), fc.eval_F(fund, y))
+    field = energy_field(fund)
+    value, grad, hess = fc.grad_hess(field, y)
+    value_neg, grad_neg, hess_neg = fc.grad_hess(field, -y)
+    assert np.array_equal(value_neg, value) and np.array_equal(hess_neg, hess)
+    assert np.array_equal(grad_neg, -grad)
+    assert np.array_equal(gradients(field, -y)[1], -grad)
+    # the float route and the real part of the dual route agree
+    assert np.array_equal(gradients(fc.ScalarField(fund.dim, fund.value), y)[0],
+                          fc.eval_F(fund, y))
+
+
 # ---------------------------------------------------------------------------
 # Metric-spec grammar round trip
 # ---------------------------------------------------------------------------
-
-POWER_SUMS = {"pnorm": (fc.pnorm, "p"), "mroot": (fc.mroot, "m")}
-
 
 @hypothesis.given(family=st.sampled_from(("euclidean", "pnorm", "mroot")),
                   dim=st.integers(2, 10), half=st.integers(1, 8))
