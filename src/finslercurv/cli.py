@@ -24,33 +24,15 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import indicatrix as ind
 from .exceptions import DomainViolation, FinslerError, UsageError
-from .metrics import FundamentalFunction, eval_F, parse_metric_spec
+from .metrics import eval_F, parse_metric_spec
 from .numkernel import projected_trace, trace_reduction
 
 FORMATS = ("json", "csv", "text")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    metric_spec: str | None = None
-    dim: int | None = None
-    samples: int = 100
-    seed: int = 42
-    tol: float = 1e-8
-    method: str = "hyperdual"
-    fd_step: float = 1e-5
-    output: str | None = None
-    fmt: str = "text"
-    point: np.ndarray | None = None
-    trials: int = 1000
-    fund: FundamentalFunction | None = None  # built from metric_spec by parse_args
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub, metric: bool = True):
     if metric:
-        sub.add_argument("--metric", required=True, help="metric spec string")
+        sub.add_argument("--metric", required=True, dest="metric_spec", metavar="METRIC",
+                         help="metric spec string")
     sub.add_argument("--dim", type=int, default=None, help="ambient dimension")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--tol", type=float, default=1e-8)
@@ -90,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     lemma = subs.add_parser("lemma-test", help="trace-reduction cross-check")
     _add_common(lemma, metric=False)
     lemma.add_argument("--trials", type=int, default=1000)
+    lemma.set_defaults(dim=3)
 
     return parser
 
@@ -119,51 +103,37 @@ def _join_point_value(argv) -> list:
     return argv
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse and validate the command line into a RunConfig."""
-    ns = _parser().parse_args(_join_point_value(argv))
-    config = RunConfig(command=ns.command)
-    config.metric_spec = getattr(ns, "metric", None)
-    config.dim = ns.dim
-    config.seed = ns.seed
-    config.tol = ns.tol
-    config.method = ns.method
-    config.fd_step = ns.fd_step
-    config.output = ns.output
-    config.fmt = ns.fmt
-    if hasattr(ns, "samples"):
-        config.samples = ns.samples
-    if hasattr(ns, "trials"):
-        config.trials = ns.trials
-    if hasattr(ns, "point"):
-        try:
-            config.point = np.asarray(
-                [float(v) for v in ns.point.split(",")], dtype=float)
-        except ValueError:
-            raise UsageError(f"--point: bad coordinate list {ns.point!r}") from None
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and validate the command line; the namespace is the run's configuration.
 
-    if config.dim is not None and config.dim < 2:
+    ``point`` is parsed, and a subcommand with ``--metric`` gains ``fund``.
+    """
+    args = _parser().parse_args(_join_point_value(argv))
+    if hasattr(args, "point"):
+        try:
+            args.point = np.asarray([float(v) for v in args.point.split(",")], dtype=float)
+        except ValueError:
+            raise UsageError(f"--point: bad coordinate list {args.point!r}") from None
+
+    if args.dim is not None and args.dim < 2:
         raise UsageError("--dim must be >= 2")
-    if config.samples < 1:
+    if hasattr(args, "samples") and args.samples < 1:
         raise UsageError("--samples must be >= 1")
-    if config.trials < 1:
+    if hasattr(args, "trials") and args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if not config.tol > 0.0:
+    if not args.tol > 0.0:
         raise UsageError("--tol must be positive")
-    if not 0.0 < config.fd_step <= 1e-2:
+    if not 0.0 < args.fd_step <= 1e-2:
         raise UsageError("--fd-step must lie in (0, 1e-2]")
 
-    if config.metric_spec is not None:
+    if hasattr(args, "metric_spec"):
         # Validate the metric spec eagerly so bad specs fail with exit 2.
-        config.fund = parse_metric_spec(config.metric_spec, config.dim)
-        config.dim = config.fund.dim
-    elif config.command == "lemma-test":
-        if config.dim is None:
-            config.dim = 3
-    if config.point is not None and config.point.size != config.dim:
+        args.fund = parse_metric_spec(args.metric_spec, args.dim)
+        args.dim = args.fund.dim
+    if hasattr(args, "point") and args.point.size != args.dim:
         raise UsageError(
-            f"--point has {config.point.size} coordinates but dim is {config.dim}")
-    return config
+            f"--point has {args.point.size} coordinates but dim is {args.dim}")
+    return args
 
 
 def _thread_count() -> int:
@@ -174,27 +144,11 @@ def _thread_count() -> int:
     return 1
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _f_values(fund, points) -> list:
-    """F at every point's y, from one stacked evaluation."""
-    return eval_F(fund, np.stack([point.y for point in points])).tolist()
-
-
 def _point_records(points, reports, fund) -> list[dict]:
     """One record per point: index, y, F, then H and residual_H or the error."""
+    f_values = eval_F(fund, np.stack([point.y for point in points])).tolist()
     records = []
-    for index, (point, rep, f_val) in enumerate(zip(points, reports, _f_values(fund, points))):
+    for index, (point, rep, f_val) in enumerate(zip(points, reports, f_values)):
         record = {"index": index, "y": point.y.tolist(), "F": f_val}
         if isinstance(rep, Exception):
             record["error"] = str(rep)
@@ -207,59 +161,61 @@ def _point_records(points, reports, fund) -> list[dict]:
 
 def _csv_rows(points, reports, fund) -> str:
     """The point records as CSV; a failed point reads nan for H and residual_H."""
-    header = "index," + ",".join(f"y_{i + 1}" for i in range(fund.dim)) + ",F,H,residual_H"
+    return _records_csv(_point_records(points, reports, fund), fund.dim)
+
+
+def _records_csv(records, dim: int) -> str:
+    header = "index," + ",".join(f"y_{i + 1}" for i in range(dim)) + ",F,H,residual_H"
     lines = [header]
-    for record in _point_records(points, reports, fund):
+    for record in records:
         values = record["y"] + [record["F"], record.get("H", np.nan),
                                 record.get("residual_H", np.nan)]
-        lines.append(",".join([str(record["index"])] + [_fmt17(v) for v in values]))
+        lines.append(",".join([str(record["index"])] + [f"{v:.17g}" for v in values]))
     return "\n".join(lines) + "\n"
 
 
-def _run_verify(config: RunConfig) -> int:
-    fund = config.fund
+# Each handler returns (passed, record, csv, text): the JSON output is the
+# record; csv and text are callables, so only the requested format is rendered.
+
+def _run_verify(args):
     summary = ind.verify_claims(
-        fund, count=config.samples, seed=config.seed, tol=config.tol,
-        methods=(config.method,), fd_step=config.fd_step, label=config.metric_spec)
-    stats = summary.stats[config.method]
-    if config.fmt == "json":
-        payload = {
-            "metric": config.metric_spec,
-            "dim": summary.dim,
-            "samples": summary.count,
-            "seed": summary.seed,
-            "method": config.method,
-            "max_residual_H": stats.max_residual_H,
-            "mean_residual_H": stats.mean_residual_H,
-            "max_residual_trace": stats.max_residual_trace,
-            "max_residual_umbilic": stats.max_residual_umbilic,
-            "max_oracle_gap": stats.max_oracle_gap,
-            "pass": stats.passed,
-            "failures": stats.failures,
-        }
-        _emit(config, json.dumps(payload, indent=2) + "\n")
-    elif config.fmt == "csv":
-        _emit(config, _csv_rows(summary.points, summary.reports[config.method], fund))
-    else:
-        lines = [
-            f"metric {config.metric_spec}  dim {summary.dim}  "
-            f"samples {summary.count}  seed {summary.seed}  method {config.method}",
-            f"max |H - 1|            = {stats.max_residual_H:.3e}",
-            f"mean |H - 1|           = {stats.mean_residual_H:.3e}",
-            f"max |tr(Hess) - n|     = {stats.max_residual_trace:.3e}",
-            f"max |kappa - 1|        = {stats.max_residual_umbilic:.3e}",
-            f"max formula-oracle gap = {stats.max_oracle_gap:.3e}",
-            f"failures               = {len(stats.failures)}",
-            f"result                 = {'PASS' if stats.passed else 'FAIL'} "
-            f"(tol {config.tol:g})",
-        ]
-        _emit(config, "\n".join(lines) + "\n")
-    return 0 if stats.passed else 1
+        args.fund, count=args.samples, seed=args.seed, tol=args.tol,
+        methods=(args.method,), fd_step=args.fd_step, label=args.metric_spec)
+    stats = summary.stats[args.method]
+    record = {
+        "metric": args.metric_spec, "dim": summary.dim, "samples": summary.count,
+        "seed": summary.seed, "method": args.method,
+        "max_residual_H": stats.max_residual_H,
+        "mean_residual_H": stats.mean_residual_H,
+        "max_residual_trace": stats.max_residual_trace,
+        "max_residual_umbilic": stats.max_residual_umbilic,
+        "max_oracle_gap": stats.max_oracle_gap,
+        "pass": stats.passed, "failures": stats.failures,
+    }
+
+    def text():
+        r = record
+        return "\n".join([
+            f"metric {r['metric']}  dim {r['dim']}  "
+            f"samples {r['samples']}  seed {r['seed']}  method {r['method']}",
+            f"max |H - 1|            = {r['max_residual_H']:.3e}",
+            f"mean |H - 1|           = {r['mean_residual_H']:.3e}",
+            f"max |tr(Hess) - n|     = {r['max_residual_trace']:.3e}",
+            f"max |kappa - 1|        = {r['max_residual_umbilic']:.3e}",
+            f"max formula-oracle gap = {r['max_oracle_gap']:.3e}",
+            f"failures               = {len(r['failures'])}",
+            f"result                 = {'PASS' if r['pass'] else 'FAIL'} (tol {args.tol:g})",
+        ]) + "\n"
+
+    def csv():
+        return _csv_rows(summary.points, summary.reports[args.method], args.fund)
+
+    return stats.passed, record, csv, text
 
 
-def _run_curvature(config: RunConfig) -> int:
-    fund = config.fund
-    y = config.point
+def _run_curvature(args):
+    fund = args.fund
+    y = args.point
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, point as given
         f_val = eval_F(fund, y)
     if not 0.0 < f_val < np.inf:  # also where a coordinate is not finite
@@ -269,99 +225,96 @@ def _run_curvature(config: RunConfig) -> int:
     if normalized:
         y = y / f_val  # normalize_to_indicatrix, with F already evaluated
     point = ind.indicatrix_point(fund, y)
-    rep = ind.adapted_report(fund, point, method=config.method, fd_step=config.fd_step)
-    ok = ind._aggregate(config.method, [rep], config.tol).passed
-    if config.fmt == "json":
-        payload = {
-            "metric": config.metric_spec,
-            "dim": fund.dim,
-            "point": [float(v) for v in y],
-            "normalized": normalized,
-            "method": config.method,
-            "H": rep.H,
-            "principal_curvatures": [float(v) for v in rep.principal],
-            "residual_H": rep.residual_H,
-            "residual_trace": rep.residual_trace,
-            "residual_umbilic": rep.residual_umbilic,
-            "oracle_gap": rep.oracle_gap,
-            "pass": ok,
-        }
-        _emit(config, json.dumps(payload, indent=2) + "\n")
-    elif config.fmt == "csv":
-        _emit(config, _csv_rows([point], [rep], fund))
-    else:
-        kappas = ", ".join(f"{v:.12f}" for v in rep.principal)
-        lines = [
-            f"metric {config.metric_spec}  point {list(map(float, y))}"
-            + ("  (scaled onto the indicatrix)" if normalized else ""),
-            f"H = {rep.H:.15f}   principal curvatures: [{kappas}]",
-            f"|H - 1| = {rep.residual_H:.3e}   |tr - n| = {rep.residual_trace:.3e}   "
-            f"max |kappa - 1| = {rep.residual_umbilic:.3e}",
-            f"formula-oracle gap = {rep.oracle_gap:.3e}   "
-            f"result = {'PASS' if ok else 'FAIL'}",
-        ]
-        _emit(config, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    rep = ind.adapted_report(fund, point, method=args.method, fd_step=args.fd_step)
+    ok = ind._aggregate(args.method, [rep], args.tol).passed
+    record = {
+        "metric": args.metric_spec, "dim": fund.dim, "point": [float(v) for v in y],
+        "normalized": normalized, "method": args.method, "H": rep.H,
+        "principal_curvatures": [float(v) for v in rep.principal],
+        "residual_H": rep.residual_H, "residual_trace": rep.residual_trace,
+        "residual_umbilic": rep.residual_umbilic, "oracle_gap": rep.oracle_gap,
+        "pass": ok,
+    }
+
+    def text():
+        r = record
+        kappas = ", ".join(f"{v:.12f}" for v in r["principal_curvatures"])
+        return "\n".join([
+            f"metric {r['metric']}  point {r['point']}"
+            + ("  (scaled onto the indicatrix)" if r["normalized"] else ""),
+            f"H = {r['H']:.15f}   principal curvatures: [{kappas}]",
+            f"|H - 1| = {r['residual_H']:.3e}   |tr - n| = {r['residual_trace']:.3e}   "
+            f"max |kappa - 1| = {r['residual_umbilic']:.3e}",
+            f"formula-oracle gap = {r['oracle_gap']:.3e}   "
+            f"result = {'PASS' if r['pass'] else 'FAIL'}",
+        ]) + "\n"
+
+    return ok, record, lambda: _csv_rows([point], [rep], fund), text
 
 
-def _run_sample(config: RunConfig) -> int:
-    fund = config.fund
-    points = ind.sample_indicatrix(fund, config.samples, config.seed)
-    reports = ind.adapted_reports(fund, points, method=config.method,
-                                  fd_step=config.fd_step)
-    if config.fmt == "json":
-        _emit(config, json.dumps(_point_records(points, reports, fund), indent=2) + "\n")
-    else:
-        # text and csv share the re-ingestible row format
-        _emit(config, _csv_rows(points, reports, fund))
-    return 0
+def _run_sample(args):
+    points = ind.sample_indicatrix(args.fund, args.samples, args.seed)
+    reports = ind.adapted_reports(args.fund, points, method=args.method,
+                                  fd_step=args.fd_step)
+    records = _point_records(points, reports, args.fund)
+
+    def csv():  # also the text format: the re-ingestible row format
+        return _records_csv(records, args.dim)
+
+    return True, records, csv, csv
 
 
-def _run_lemma_test(config: RunConfig) -> int:
+def _run_lemma_test(args):
     max_delta = 0.0
     worst = 0
-    for trial in range(config.trials):
-        rng = np.random.default_rng([config.seed, trial])
-        r = rng.standard_normal((config.dim, config.dim))
+    for trial in range(args.trials):
+        rng = np.random.default_rng([args.seed, trial])
+        r = rng.standard_normal((args.dim, args.dim))
         a = 0.5 * (r + r.T)
-        v = rng.standard_normal(config.dim)
+        v = rng.standard_normal(args.dim)
         normal = v / np.linalg.norm(v)
         delta = abs(trace_reduction(a, normal) - projected_trace(a, normal))
         if delta > max_delta:
             max_delta = delta
             worst = trial
-    ok = max_delta <= config.tol
-    if config.fmt == "json":
-        payload = {"trials": config.trials, "dim": config.dim, "seed": config.seed,
-                   "max_delta": max_delta, "worst_trial": worst, "pass": ok}
-        _emit(config, json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(config,
-              f"lemma-test dim {config.dim} trials {config.trials} seed {config.seed}: "
-              f"max |delta trace| = {max_delta:.3e} -> "
-              f"{'PASS' if ok else 'FAIL'} (tol {config.tol:g})\n")
-    return 0 if ok else 1
+    ok = max_delta <= args.tol
+    record = {"trials": args.trials, "dim": args.dim, "seed": args.seed,
+              "max_delta": max_delta, "worst_trial": worst, "pass": ok}
+
+    def text():  # also the csv format
+        return (f"lemma-test dim {args.dim} trials {args.trials} seed {args.seed}: "
+                f"max |delta trace| = {max_delta:.3e} -> "
+                f"{'PASS' if ok else 'FAIL'} (tol {args.tol:g})\n")
+
+    return ok, record, text, text
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated RunConfig; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute a validated command line and write its report; returns the exit code."""
     handlers = {
         "verify": _run_verify,
         "curvature": _run_curvature,
         "sample": _run_sample,
         "lemma-test": _run_lemma_test,
     }
+    passed, record, csv, text = handlers[args.command](args)
+    render = {"csv": csv, "text": text}.get(args.fmt)
+    report = render() if render else json.dumps(record, indent=2) + "\n"
     try:
-        return handlers[config.command](config)
+        if args.output is None:
+            sys.stdout.write(report)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(report)
     except OSError as exc:
         raise UsageError(f"i/o error: {exc}") from exc
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:
     """Run the command line; a package error outside per-point isolation exits 2."""
     try:
-        config = parse_args(sys.argv[1:] if argv is None else argv)
-        return run(config)
+        return run(parse_args(sys.argv[1:] if argv is None else argv))
     except FinslerError as exc:
         message = " ".join(str(exc).split())  # one line, even for a wrapped array
         print(f"finslercurv: error: {message}", file=sys.stderr)

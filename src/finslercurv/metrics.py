@@ -133,9 +133,7 @@ def _spd_matrix(a, what: str) -> np.ndarray:
 
 def euclidean(dim: int) -> FundamentalFunction:
     """The Euclidean norm on R^dim."""
-    if dim < 2:
-        raise InvalidParams("dim must be >= 2")
-    return FundamentalFunction("euclidean", dim)
+    return FundamentalFunction("euclidean", _dimension(dim))
 
 
 def quadratic(a) -> FundamentalFunction:
@@ -158,6 +156,18 @@ def randers(a, b) -> FundamentalFunction:
     return FundamentalFunction("randers", a.shape[0], matrix=a, drift=b)
 
 
+def _dimension(value) -> int:
+    try:
+        dim = int(value)
+    except (TypeError, ValueError, OverflowError):
+        dim = None
+    if dim is None or dim != value:
+        raise InvalidParams(f"dim must be an integer, got {value!r}")
+    if dim < 2:
+        raise InvalidParams("dim must be >= 2")
+    return dim
+
+
 def _even_exponent(value, name: str) -> int:
     try:
         e = int(value)
@@ -169,7 +179,10 @@ def _even_exponent(value, name: str) -> int:
 
 
 def _guard_margin(value) -> float:
-    margin = float(value)
+    try:
+        margin = float(value)
+    except (TypeError, ValueError):
+        margin = np.nan  # not a number: rejected below with the same message
     if not 0.0 <= margin < 1.0:
         raise InvalidParams(f"guard_margin must be a finite number in [0, 1), got {value!r}")
     return margin
@@ -177,9 +190,7 @@ def _guard_margin(value) -> float:
 
 def _power_sum(family: str, dim: int, exponent, guard_margin) -> FundamentalFunction:
     """F(y) = (sum y_i^e)^(1/e) for even e, as the power-sum ``family``."""
-    if dim < 2:
-        raise InvalidParams("dim must be >= 2")
-    return FundamentalFunction(family, dim,
+    return FundamentalFunction(family, _dimension(dim),
                                exponent=_even_exponent(exponent, POWER_SUMS[family]),
                                guard_margin=_guard_margin(guard_margin))
 

@@ -370,3 +370,95 @@ class TestGrammarFuzz:
                 parse_metric_spec(spec, dim=3)
             except UsageError:
                 pass  # the only acceptable failure mode
+
+
+COMMANDS = {
+    "verify": ["verify", "--metric", "randers:a=1,1,1,b=0.4,0,0", "--dim", "3",
+               "--samples", "12"],
+    "curvature": ["curvature", "--metric", "pnorm:p=4", "--dim", "3", "--point", "1,-2,1.5"],
+    "sample": ["sample", "--metric", "mroot:m=6", "--dim", "4", "--samples", "6",
+               "--seed", "9"],
+    "lemma-test": ["lemma-test", "--dim", "4", "--trials", "50", "--seed", "3"],
+}
+
+
+def formats_of(capsys, argv):
+    """stdout of ``argv`` in every format, with the JSON parsed."""
+    out = {}
+    for fmt in cli.FORMATS:
+        assert cli.main(argv + ["--format", fmt]) == 0
+        out[fmt] = capsys.readouterr().out
+    out["json"] = json.loads(out["json"])
+    return out
+
+
+def csv_table(text):
+    lines = text.splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+class TestFormatConsistency:
+    """Text and CSV render the numbers of the JSON record for the same arguments."""
+
+    def test_verify(self, capsys):
+        out = formats_of(capsys, COMMANDS["verify"])
+        record, text = out["json"], out["text"]
+        assert text.splitlines()[0] == (
+            f"metric {record['metric']}  dim {record['dim']}  samples {record['samples']}  "
+            f"seed {record['seed']}  method {record['method']}")
+        for key in ("max_residual_H", "mean_residual_H", "max_residual_trace",
+                    "max_residual_umbilic", "max_oracle_gap"):
+            assert f"= {record[key]:.3e}\n" in text
+        assert f"failures               = {len(record['failures'])}\n" in text
+        assert "result                 = PASS (tol 1e-08)\n" in text
+        header, rows = csv_table(out["csv"])
+        assert len(rows) == record["samples"]
+        residuals = [float(row[header.index("residual_H")]) for row in rows]
+        assert f"{record['max_residual_H']:.17g}" in [row[-1] for row in rows]
+        assert max(0.0, *residuals) == record["max_residual_H"]
+        assert float(np.mean(residuals)) == record["mean_residual_H"]
+
+    def test_curvature(self, capsys):
+        out = formats_of(capsys, COMMANDS["curvature"])
+        record, text = out["json"], out["text"]
+        kappas = ", ".join(f"{v:.12f}" for v in record["principal_curvatures"])
+        assert text == (
+            f"metric {record['metric']}  point {record['point']}  "
+            "(scaled onto the indicatrix)\n"
+            f"H = {record['H']:.15f}   principal curvatures: [{kappas}]\n"
+            f"|H - 1| = {record['residual_H']:.3e}   "
+            f"|tr - n| = {record['residual_trace']:.3e}   "
+            f"max |kappa - 1| = {record['residual_umbilic']:.3e}\n"
+            f"formula-oracle gap = {record['oracle_gap']:.3e}   result = PASS\n")
+        header, rows = csv_table(out["csv"])
+        assert header == ["index", "y_1", "y_2", "y_3", "F", "H", "residual_H"]
+        assert rows[0][1:4] == [f"{v:.17g}" for v in record["point"]]
+        assert rows[0][5:] == [f"{record['H']:.17g}", f"{record['residual_H']:.17g}"]
+
+    def test_sample(self, capsys):
+        out = formats_of(capsys, COMMANDS["sample"])
+        assert out["text"] == out["csv"]
+        header, rows = csv_table(out["csv"])
+        assert header == ["index", "y_1", "y_2", "y_3", "y_4", "F", "H", "residual_H"]
+        assert len(rows) == len(out["json"]) == 6
+        for row, record in zip(rows, out["json"]):
+            values = record["y"] + [record["F"], record["H"], record["residual_H"]]
+            assert row == [str(record["index"])] + [f"{v:.17g}" for v in values]
+
+    def test_lemma_test(self, capsys):
+        out = formats_of(capsys, COMMANDS["lemma-test"])
+        record = out["json"]
+        assert out["csv"] == out["text"] == (
+            f"lemma-test dim {record['dim']} trials {record['trials']} seed {record['seed']}: "
+            f"max |delta trace| = {record['max_delta']:.3e} -> PASS (tol 1e-08)\n")
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_output_file_bytes_equal_stdout(self, capsysbinary, tmp_path, command, fmt):
+        argv = COMMANDS[command] + ["--format", fmt]
+        assert cli.main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        path = tmp_path / "report"
+        assert cli.main(argv + ["--output", str(path)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert path.read_bytes() == stdout

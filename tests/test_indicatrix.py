@@ -249,6 +249,11 @@ class TestVerifyClaims:
         assert set(summary.stats) == {"hyperdual", "fd"}
         assert summary.passed
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+    def test_non_positive_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fc.verify_claims(fc.euclidean(3), count=2, tol=tol)
+
     def test_impossible_tolerance_marks_failures(self):
         summary = fc.verify_claims(catalog(3)["randers"], count=20, seed=4, tol=1e-16,
                                    methods=("hyperdual",))

@@ -102,12 +102,27 @@ class TestConstruction:
         with pytest.raises(InvalidParams, match="matrix must have finite entries"):
             fc.randers(np.diag([1.0, np.inf]), [0.1, 0.0])
 
-    @pytest.mark.parametrize("margin", [np.nan, np.inf, -0.1, 1.0])
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -0.1, 1.0, "abc", None])
     def test_bad_guard_margin_rejected(self, margin):
         with pytest.raises(InvalidParams, match="guard_margin"):
             fc.pnorm(3, 4, guard_margin=margin)
         with pytest.raises(InvalidParams, match="guard_margin"):
             fc.mroot(3, 6, guard_margin=margin)
+
+    @pytest.mark.parametrize("dim", [3, np.int64(3), 3.0])
+    def test_integral_dim_stored_as_int(self, dim):
+        for fund in (fc.euclidean(dim), fc.pnorm(dim, 4), fc.mroot(dim, 6)):
+            assert type(fund.dim) is int and fund.dim == 3
+
+    @pytest.mark.parametrize("dim, message", [
+        (3.5, "dim must be an integer"), ("3", "dim must be an integer"),
+        (None, "dim must be an integer"), (np.nan, "dim must be an integer"),
+        (np.inf, "dim must be an integer"), (1, "dim must be >= 2"),
+        (np.int64(0), "dim must be >= 2")])
+    def test_bad_dim_rejected(self, dim, message):
+        for build in (fc.euclidean, lambda d: fc.pnorm(d, 4), lambda d: fc.mroot(d, 6)):
+            with pytest.raises(InvalidParams, match=message):
+                build(dim)
 
     def test_infinite_exponent_rejected(self):
         with pytest.raises(InvalidParams):
