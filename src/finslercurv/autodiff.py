@@ -10,11 +10,12 @@ A central finite-difference engine lives alongside it and is used only as
 an independent cross-check; the two share only the field and its row layout.
 
 The coefficient slots of a HyperDual may hold floats or numpy arrays.
-Evaluations work on stacked points: real parts are (R, 1) columns, one
-row per point, and the slots broadcast them against the derivative
-directions, so one field evaluation carries every point of a batch and
-every direction at once. Dual, the first-order half, does the same for
-gradients alone.
+Evaluations are vector-seeded: a field gets one argument with a leading
+coordinate axis, real part (n, P, S, 1) for R = P * S stacked rows in P
+blocks (for a dual, one per pre-map matrix; else P = 1) and slots
+(n, P, 1, m) that broadcast over each block's rows, so one evaluation
+carries every coordinate, row and derivative direction in O(n) array
+operations. Dual, the first-order half, does the same for gradients.
 """
 
 from __future__ import annotations
@@ -39,12 +40,24 @@ class Dual:
 
     __slots__ = ("real", "d1")
 
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators below
+
     def __init__(self, real, d1=0.0):
         self.real = real
         self.d1 = d1
 
     def __repr__(self):
         return f"Dual({self.real!r}, {self.d1!r})"
+
+    def _parts(self):
+        return self.real, self.d1
+
+    def __len__(self):
+        return len(self.real)
+
+    def __getitem__(self, k):
+        """Coordinate k of a vector-seeded dual; a scalar slot is shared by every coordinate."""
+        return type(self)(*[p[k] if isinstance(p, np.ndarray) else p for p in self._parts()])
 
     # -- ring operations -------------------------------------------------
 
@@ -143,6 +156,9 @@ class HyperDual(Dual):
     def __repr__(self):
         return f"HyperDual({self.real!r}, {self.d1!r}, {self.d2!r}, {self.d12!r})"
 
+    def _parts(self):
+        return self.real, self.d1, self.d2, self.d12
+
     def __add__(self, other):
         if isinstance(other, HyperDual):
             return HyperDual(self.real + other.real, self.d1 + other.d1,
@@ -209,6 +225,34 @@ def power(x, k: int):
     return _abs_power(np.abs(x), x, k)
 
 
+def _coordinate_sum(terms, x):
+    """Sum terms(part) over k ascending from the first term, on each part of field argument x.
+
+    The real part's sum then gains +0.0, as a loop of dual sums from 0.0 does; that
+    order gives a batch's row its point's own bits, unlike numpy's pairwise sum.
+    """
+    def ascending(part):
+        each = terms(part)
+        return sum(each, next(each))
+    if not isinstance(x, Dual):
+        return ascending(x) + 0.0
+    real, *slots = x._parts()
+    return type(x)(ascending(real) + 0.0, *[
+        ascending(s if isinstance(s, np.ndarray) else np.full((len(real), 1, 1, 1), s))
+        for s in slots])
+
+
+def total(x):
+    """x[0] + x[1] + ... over the coordinate axis of a field argument x, k ascending."""
+    return _coordinate_sum(iter, x)
+
+
+def matvec(a, x):
+    """sum_k a[:, k] * x[k] for an (n, n) matrix a and a field argument x, k ascending."""
+    cols = a.T[:, :, None, None, None]  # cols[k] is a[:, k] as (n, 1, 1, 1)
+    return _coordinate_sum(lambda p: map(np.multiply, p, cols), x)
+
+
 def sqrt(x):
     """Square root for floats, arrays, or (hyper-)dual numbers."""
     if isinstance(x, Dual):
@@ -247,11 +291,11 @@ def _always(_y) -> bool:
 class ScalarField:
     """A scalar function of an n-vector together with its validity domain.
 
-    ``func`` must accept a sequence of n scalars, where a scalar may be a
-    float, an (R, 1) numpy column holding one entry per stacked point, or
-    a (hyper-)dual number with such a real part, and must be built from
-    the generic arithmetic above so every kind flows through. ``guard`` is
-    a predicate on real n-vectors; func is only ever invoked where the
+    ``func`` receives one sequence-like argument z of the n coordinates,
+    floats (n, P, S, 1) or a vector-seeded (hyper-)dual (see above); it may
+    index, iterate or unpack z, or use total and matvec, and must be built
+    from the generic arithmetic above so every kind flows through. ``guard``
+    is a predicate on real n-vectors; func is only ever invoked where the
     guard holds. ``guard_rows``, if given, is the same predicate on every
     row of an (R, n) array at once, returning R booleans.
 
@@ -314,18 +358,17 @@ def _pulled_back(fld: ScalarField, rows: np.ndarray) -> np.ndarray:
     return w.reshape(rows.shape)
 
 
-def _seed_rows(fld: ScalarField, plain: np.ndarray, columns, rows: int) -> np.ndarray:
+def _seed_rows(fld: ScalarField, plain: np.ndarray, columns) -> np.ndarray:
     """Seed table whose entry i seeds coordinate i of the field's argument.
 
-    Without a pre-map this is ``plain`` (n, m); with one it is each point's
-    B[:, columns] repeated over that point's block of rows, as (n, rows, m)
-    so that each coordinate's seeds are contiguous.
+    It is (n, P, 1, m): each of the P points' B[:, columns], broadcast over
+    the point's block of rows, or ``plain`` (n, m) as one block (P = 1)
+    without a pre-map.
     """
     if fld.pre is None:
-        return plain
+        return plain[:, None, None, :]
     n = fld.dim
-    stack = fld.pre.reshape(-1, n, n)[..., columns]
-    return np.repeat(stack.transpose(1, 0, 2), rows // len(stack), axis=1)
+    return fld.pre.reshape(-1, n, n)[..., columns].transpose(1, 0, 2)[:, :, None, :]
 
 
 def point_rows(y, dim: int) -> np.ndarray:
@@ -362,16 +405,15 @@ def gradients(fld: ScalarField, y):
     grad_hess returns.
     """
     w = _guarded_rows(fld, y)
-    n = fld.dim
-    seed = _seed_rows(fld, _seeds(n).eye, slice(None), len(w))
-    coords = w.T.copy()  # row i: coordinate i of every point, contiguous
-    out = fld.func([Dual(coords[i, :, None], seed[i]) for i in range(n)])
+    seed = _seed_rows(fld, _seeds(fld.dim).eye, slice(None))
+    coords = w.T.copy().reshape(seed.shape[:2] + (-1, 1))  # (n, P, S, 1)
+    out = fld.func(Dual(coords, seed))
     if isinstance(out, Dual):
         real, first = out.real, out.d1
     else:  # constant field
         real, first = out, 0.0
-    value = np.broadcast_to(np.asarray(real, dtype=float), (len(w), 1))[:, 0]
-    grad = np.broadcast_to(np.asarray(first, dtype=float), w.shape).copy()
+    value = np.full(coords.shape[1:], real, float).reshape(-1)
+    grad = np.full(coords.shape[1:-1] + (fld.dim,), first, float).reshape(w.shape)
     if np.ndim(y) == 1:
         return float(value[0]), grad[0]
     return value.copy(), grad
@@ -389,22 +431,20 @@ def grad_hess(fld: ScalarField, y):
     mirrored copy of the same number).
     """
     w = _guarded_rows(fld, y)
-    n = fld.dim
-    seeds = _seeds(n)
-    d1 = _seed_rows(fld, seeds.d1, seeds.first, len(w))
-    d2 = _seed_rows(fld, seeds.d2, seeds.second, len(w))
-    coords = w.T.copy()  # row i: coordinate i of every point, contiguous
-    out = fld.func([HyperDual(coords[i, :, None], d1[i], d2[i]) for i in range(n)])
+    seeds = _seeds(fld.dim)
+    d1 = _seed_rows(fld, seeds.d1, seeds.first)
+    d2 = _seed_rows(fld, seeds.d2, seeds.second)
+    coords = w.T.copy().reshape(d1.shape[:2] + (-1, 1))  # (n, P, S, 1)
+    out = fld.func(HyperDual(coords, d1, d2))
     if isinstance(out, HyperDual):
         real, slope, mixed = out.real, out.d1, out.d12
     else:  # constant field
         real, slope, mixed = out, 0.0, 0.0
-    count, m = len(w), seeds.first.size
-    value = np.broadcast_to(np.asarray(real, dtype=float), (count, 1))[:, 0]
-    slope = np.broadcast_to(np.asarray(slope, dtype=float), (count, m))
-    mixed = np.broadcast_to(np.asarray(mixed, dtype=float), (count, m))
+    value, slope, mixed = (np.full(coords.shape[1:-1] + (size,), part, float).reshape(len(w), -1)
+                           for part, size in ((real, 1), (slope, seeds.first.size),
+                                              (mixed, seeds.first.size)))
     grad = np.ascontiguousarray(slope[:, seeds.diagonal])  # C order, as for one row
-    return _second_order(y, value, grad, mixed)
+    return _second_order(y, value[:, 0], grad, mixed)
 
 
 def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
@@ -420,9 +460,8 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     seeds = _seeds(n)
     step = h * np.maximum(1.0, np.linalg.norm(rows, axis=-1))[:, None]  # (R, 1)
     w = _guarded_rows(fld, (rows[:, None, :] + step[:, :, None] * seeds.stencil).reshape(-1, n))
-    coords = w.T.copy()  # row i: coordinate i of every stencil point, contiguous
-    out = fld.func([coords[i, :, None] for i in range(n)])
-    f = np.broadcast_to(np.asarray(out, dtype=float), (len(w), 1)).reshape(len(rows), -1)
+    out = fld.func(w.T.copy()[:, None, :, None])
+    f = np.full((1, len(w), 1), out, float).reshape(len(rows), -1)
     value, plus, minus, cross = np.split(f, [1, n + 1, 2 * n + 1], axis=1)
     pp, pm, mp, mm = np.moveaxis(cross.reshape(len(rows), -1, 4), -1, 0)  # signs of i, j
     upper = np.empty((len(rows), seeds.first.size))

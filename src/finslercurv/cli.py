@@ -216,12 +216,19 @@ def _run_verify(args):
 def _run_curvature(args):
     fund = args.fund
     y = args.point
+    big = float(np.max(np.abs(y)))
+    finite = 0.0 < big < np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, point as given
-        f_val = eval_F(fund, y)
+        f_val = eval_F(fund, y) if 2.0 ** -100 <= big <= 2.0 ** 100 or not finite else np.nan
+        if not 0.0 < f_val < np.inf and finite:  # tiny, huge or overflowing:
+            y = np.ldexp(y, -round(np.log2(big)))  # divide exactly by a power of two near big
+            if not fund.guard(y):
+                raise DomainViolation(f"point {args.point} is outside the guarded domain")
+            f_val = eval_F(fund, y)
     if not 0.0 < f_val < np.inf:  # also where a coordinate is not finite
-        raise DomainViolation(f"cannot scale point {list(map(float, y))} onto the "
+        raise DomainViolation(f"cannot scale point {list(map(float, args.point))} onto the "
                               f"indicatrix: F = {f_val}")
-    normalized = abs(f_val - 1.0) > 1e-10
+    normalized = y is not args.point or abs(f_val - 1.0) > 1e-10
     if normalized:
         y = y / f_val  # normalize_to_indicatrix, with F already evaluated
     point = ind.indicatrix_point(fund, y)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff
-from .autodiff import ScalarField, grad_hess, point_rows
+from .autodiff import ScalarField, grad_hess, matvec, point_rows, total
 from .exceptions import DomainViolation, InvalidParams, UsageError
 from .numkernel import cholesky
 
@@ -45,20 +45,6 @@ DEFAULT_GUARD_MARGIN = 1e-2
 RANDERS_MARGIN = 1e-6
 
 
-def _quad(a: np.ndarray, z) -> object:
-    """sum_ij a[i,j] z_i z_j for generic scalars z_i (floats or hyper-duals)."""
-    total = 0.0
-    n = len(z)
-    for i in range(n):
-        row = 0.0
-        for j in range(n):
-            c = a[i, j]
-            if c != 0.0:
-                row = row + z[j] * c
-        total = total + z[i] * row
-    return total
-
-
 @dataclass(frozen=True)
 class FundamentalFunction:
     """One Minkowski norm, i.e. one tangent space frozen at a base point."""
@@ -71,24 +57,18 @@ class FundamentalFunction:
     guard_margin: float = 0.0
 
     def value(self, z):
-        """Evaluate F on a sequence of generic scalars (floats or hyper-duals)."""
+        """F at z, a field argument: (n, P, S, 1) floats or a vector-seeded (hyper-)dual."""
         fam = self.family
         if fam == "euclidean":
-            return autodiff.sqrt(_sum_squares(z))
+            return autodiff.sqrt(total(z * z))
         if fam == "quadratic":
-            return autodiff.sqrt(_quad(self.matrix, z))
+            return autodiff.sqrt(total(z * matvec(self.matrix, z)))
         if fam == "randers":
-            lin = 0.0
-            for bk, zk in zip(self.drift, z):
-                if bk != 0.0:
-                    lin = lin + zk * bk
-            return autodiff.sqrt(_quad(self.matrix, z)) + lin
+            return (autodiff.sqrt(total(z * matvec(self.matrix, z)))
+                    + total(z * self.drift[:, None, None, None]))
         # a power sum
         p = self.exponent
-        total = 0.0
-        for zk in z:
-            total = total + autodiff.power(zk, p)
-        return total ** (1.0 / p)
+        return total(autodiff.power(z, p)) ** (1.0 / p)
 
     def guard(self, y) -> bool:
         """True where F and its metric tensor are smooth and well posed."""
@@ -109,17 +89,11 @@ class FundamentalFunction:
         return self.family if key is None else f"{self.family}:{key}={self.exponent}"
 
 
-def _sum_squares(z):
-    total = 0.0
-    for zk in z:
-        total = total + zk * zk
-    return total
-
-
 def _spd_matrix(a, what: str) -> np.ndarray:
     a = np.array(a, dtype=float)  # a copy: the norm owns its matrix
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParams(f"{what} must be a square matrix")
+    _dimension(a.shape[0])
     if not np.isfinite(a).all():
         raise InvalidParams(f"{what} must have finite entries")
     if not np.array_equal(a, a.T):
@@ -227,7 +201,7 @@ def eval_F(fund: FundamentalFunction, y):
     inside = fund.guard_rows(rows)
     if not inside.all():
         raise DomainViolation(f"point {rows[inside.argmin()]} is outside the guarded domain")
-    values = fund.value([rows[:, k:k + 1] for k in range(fund.dim)])[:, 0]
+    values = fund.value(rows.T[:, None, :, None])[0, :, 0]
     return float(values[0]) if y.ndim == 1 else values
 
 

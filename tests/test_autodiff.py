@@ -1,11 +1,16 @@
+import operator
+
 import numpy as np
 import pytest
 
 import finslercurv as fc
 from finslercurv import autodiff
 from finslercurv import indicatrix as ind
-from finslercurv.autodiff import HyperDual
+from finslercurv.autodiff import Dual, HyperDual
 from finslercurv.exceptions import DimensionMismatch, DomainViolation
+from finslercurv.metrics import energy_field
+
+from conftest import catalog
 
 
 def seeded_cubic(n, seed):
@@ -275,3 +280,89 @@ class TestFiniteDifferences:
                 assert grad[i].tobytes() == g.tobytes()
                 assert hess[i].tobytes() == h.tobytes()
                 assert np.array_equal(h, h.T)
+
+
+def coordinatewise_F(fund):
+    """F of ``fund`` as a user field writes it: one coordinate at a time, sums from 0.0 up in k."""
+    def ascending(terms):
+        acc = 0.0
+        for term in terms:
+            acc = acc + term
+        return acc
+
+    def F(z):
+        zs = [z[k] for k in range(len(z))]
+        if fund.family == "euclidean":
+            return autodiff.sqrt(ascending(zk * zk for zk in zs))
+        if fund.family in ("quadratic", "randers"):
+            a = fund.matrix
+            rows = [ascending(zk * a[i, k] for k, zk in enumerate(zs)) for i in range(len(zs))]
+            f = autodiff.sqrt(ascending(zi * row for zi, row in zip(zs, rows)))
+            if fund.family == "quadratic":
+                return f
+            return f + ascending(zk * bk for zk, bk in zip(zs, fund.drift))
+        return ascending(autodiff.power(zk, fund.exponent) for zk in zs) ** (1.0 / fund.exponent)
+    return F
+
+
+def bits(result):
+    return [np.asarray(part).tobytes() for part in result]
+
+
+class TestVectorSeeds:
+    """One vector-seeded argument per field evaluation, summed over k in ascending order."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("family", ["euclidean", "quadratic", "randers", "pnorm", "mroot"])
+    def test_coordinatewise_field_matches_vector_evaluation(self, family, n):
+        # bit for bit, alone and batched; n >= 8 is where numpy's pairwise
+        # summation would part a contiguous one-point axis from a batch's
+        fund = catalog(n)[family]
+        points = fc.sample_indicatrix(fund, 4, 70 + n)
+        F = coordinatewise_F(fund)
+
+        def user(pre, level):  # (F^2 - level) / 2, as energy_field and defining_field
+            def func(z):
+                v = F(z)
+                return (v * v - level) * 0.5 if level else (v * v) * 0.5
+            return fc.ScalarField(n, func, fund.guard, fund.guard_rows, pre)
+
+        adapted = [ind.adapted_field(fund, p) for p in points]
+        cases = [  # (catalog field, user field, rows, the catalog field of each row alone)
+            (energy_field(fund), user(None, 0.0), np.stack([p.y for p in points]),
+             [energy_field(fund)] * len(points)),
+            (ind.adapted_field(fund, points), user(ind.adapted_field(fund, points).pre, 1.0),
+             np.stack([p.y_adapted for p in points]), adapted),
+        ]
+        for derive in (fc.grad_hess, autodiff.gradients,
+                       lambda fld, y: fc.fd_grad_hess(fld, y, 1e-4)):
+            for vector, coordinatewise, rows, alone in cases:
+                batched = derive(vector, rows)
+                assert bits(derive(coordinatewise, rows)) == bits(batched)
+                for i, (fld, row) in enumerate(zip(alone, rows)):
+                    assert bits(derive(fld, row)) == bits(part[i] for part in batched)
+        ys = np.stack([p.y for p in points])
+        values = fc.eval_F(fund, ys)
+        assert values.tobytes() == F([ys[:, k:k + 1] for k in range(n)])[:, 0].tobytes()
+        for y, value in zip(ys, values):
+            assert fc.eval_F(fund, y) == value
+
+    @pytest.mark.parametrize("kind", [Dual, HyperDual])
+    def test_numpy_operand_on_the_left_keeps_the_dual(self, kind):
+        slots = [np.arange(1.0, 7.0).reshape(3, 1, 1, 2)] * (1 if kind is Dual else 2)
+        x = kind(np.arange(2.0, 5.0).reshape(3, 1, 1, 1), *slots)
+        for left in (np.float64(2.0), np.array(2.0), np.full((1, 1, 1), 2.0)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                for right in (x, x[1]):
+                    out = op(left, right)
+                    assert type(out) is kind
+                    assert bits(out._parts()) == bits(op(2.0, right)._parts())
+
+    def test_a_vector_dual_is_a_sequence_of_coordinates(self):
+        x = HyperDual(np.arange(3.0).reshape(3, 1, 1, 1), np.eye(3)[:, None, None, :],
+                      np.eye(3)[:, None, None, :])
+        first, second, third = x
+        assert len(x) == 3 and [float(c.real[0, 0, 0]) for c in x] == [0.0, 1.0, 2.0]
+        assert np.array_equal(second.d1, [[[0.0, 1.0, 0.0]]]) and second.d12 == 0.0
+        total = autodiff.total(x)
+        assert np.array_equal(total.d1, [[[1.0, 1.0, 1.0]]]) and np.array_equal(total.d12, [[[0.0]]])

@@ -332,8 +332,8 @@ class TestOtherCommands:
          "point [0. 0. 0.] is outside the guarded domain"),
         (["verify", "--metric", "pnorm:p=4", "--dim", "16"],
          "more than 100000 rejected draws for 100 samples"),
-        (["curvature", "--metric", "euclidean", "--dim", "3", "--point", "1e200,1e200,1e200"],
-         "cannot scale point [1e+200, 1e+200, 1e+200] onto the indicatrix: F = inf"),
+        (["curvature", "--metric", "quadratic:A=1e308,1e308", "--dim", "2", "--point", "1,1"],
+         "cannot scale point [1.0, 1.0] onto the indicatrix: F = inf"),
         (["verify", "--metric", "pnorm:p=4", "--dim", "45", "--samples", "5"],
          "no direction passes the sampling guard min|y_i| >= 0.15*|y| at dim 45; "
          "the largest dim it allows is 44"),
@@ -345,6 +345,41 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"finslercurv: error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--metric", "quadratic:A=2", "--samples", "3"],
+        ["curvature", "--metric", "randers:a=2,b=0.1", "--point", "1"],
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_by_one_matrix_exits_two(self, capsys, argv):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "finslercurv: error: dim must be >= 2\n"
+
+    @pytest.mark.parametrize("point", [
+        "1e-160,1e-160,1e-160", "1e-170,2e-170,1e-170", "1e200,1e200,1e200", "5e-324,5e-324,1e-323",
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_and_huge_points_are_rescaled(self, capsys, point):
+        code = cli.main(["curvature", "--metric", "euclidean", "--dim", "3",
+                         "--point", point, "--format", "json"])
+        out = capsys.readouterr()
+        payload = json.loads(out.out)
+        assert (code, out.err) == (0, "")
+        assert payload["normalized"] and payload["pass"]
+        assert abs(eval_F(parse_metric_spec("euclidean", 3), payload["point"]) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("spec", ["euclidean", "quadratic:A=1,2,3", "randers:a=1,2,3,b=0.1,0,0.2"])
+    @pytest.mark.parametrize("exponent", [-1060, -200, 200, 1020])
+    def test_rescaling_by_a_power_of_two_is_exact(self, capsys, spec, exponent):
+        # 2^e y is divided by an exact power of two, so its report is the report of y
+        def report(y):
+            argv = ["curvature", "--metric", spec, "--dim", "3", "--format", "json",
+                    "--point=" + ",".join(repr(float(v)) for v in y)]
+            assert cli.main(argv) == 0
+            return json.loads(capsys.readouterr().out)
+        base = np.array([1.0, -2.0, 3.0])
+        scaled = report(np.ldexp(base, exponent))
+        assert scaled == report(base) and scaled["normalized"]
 
     def test_lemma_test(self, capsys):
         code = cli.main(["lemma-test", "--trials", "1000", "--dim", "6",

@@ -128,6 +128,12 @@ class TestConstruction:
         with pytest.raises(InvalidParams):
             fc.pnorm(3, np.inf)
 
+    def test_one_by_one_matrix_rejected(self):
+        # a dim-1 norm has an empty indicatrix tangent space; its order goes through dim
+        for build in (lambda: fc.quadratic([[2.0]]), lambda: fc.randers([[2.0]], [0.1])):
+            with pytest.raises(InvalidParams, match="dim must be >= 2"):
+                build()
+
 
 class TestMetricTensor:
     def test_euclidean_identity(self):
