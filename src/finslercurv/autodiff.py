@@ -21,7 +21,7 @@ operations. Dual, the first-order half, does the same for gradients.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -283,10 +283,6 @@ def log(x):
     return np.log(x)
 
 
-def _always(_y) -> bool:
-    return True
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar function of an n-vector together with its validity domain.
@@ -294,10 +290,9 @@ class ScalarField:
     ``func`` receives one sequence-like argument z of the n coordinates,
     floats (n, P, S, 1) or a vector-seeded (hyper-)dual (see above); it may
     index, iterate or unpack z, or use total and matvec, and must be built
-    from the generic arithmetic above so every kind flows through. ``guard``
-    is a predicate on real n-vectors; func is only ever invoked where the
-    guard holds. ``guard_rows``, if given, is the same predicate on every
-    row of an (R, n) array at once, returning R booleans.
+    from the generic arithmetic above so every kind flows through.
+    ``guard``, unless None, takes an (R, n) array of rows and returns R
+    booleans; func is only ever invoked at rows where it holds.
 
     ``pre``, if given, is a linear pre-map B: the field's value at z is
     func(B z), and its derivatives are taken in z. B is one (n, n) matrix,
@@ -308,8 +303,7 @@ class ScalarField:
 
     dim: int
     func: Callable
-    guard: Callable[[np.ndarray], bool] = dc_field(default=_always)
-    guard_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    guard: Callable[[np.ndarray], np.ndarray] | None = None
     pre: np.ndarray | None = None
 
 
@@ -386,12 +380,12 @@ def _guarded_rows(fld: ScalarField, y) -> np.ndarray:
     """
     rows = point_rows(y, fld.dim)
     w = _pulled_back(fld, rows)
-    if fld.guard_rows is not None:
-        inside = np.asarray(fld.guard_rows(w), dtype=bool)
-    else:
-        inside = np.array([fld.guard(row) for row in w], dtype=bool)
-    if not inside.all():
-        raise DomainViolation(f"point {rows[inside.argmin()]} is outside the field's domain")
+    if fld.guard is not None:
+        inside = np.asarray(fld.guard(w), dtype=bool)
+        if inside.shape != (len(w),):
+            raise DimensionMismatch(f"guard gave shape {inside.shape}, not one boolean per row")
+        if not inside.all():
+            raise DomainViolation(f"point {rows[inside.argmin()]} is outside the field's domain")
     return w
 
 

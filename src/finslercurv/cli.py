@@ -222,7 +222,7 @@ def _run_curvature(args):
         f_val = eval_F(fund, y) if 2.0 ** -100 <= big <= 2.0 ** 100 or not finite else np.nan
         if not 0.0 < f_val < np.inf and finite:  # tiny, huge or overflowing:
             y = np.ldexp(y, -round(np.log2(big)))  # divide exactly by a power of two near big
-            if not fund.guard(y):
+            if not fund.guard_rows(y[None])[0]:
                 raise DomainViolation(f"point {args.point} is outside the guarded domain")
             f_val = eval_F(fund, y)
     if not 0.0 < f_val < np.inf:  # also where a coordinate is not finite

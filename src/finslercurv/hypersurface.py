@@ -167,9 +167,10 @@ def weingarten_oracle(fld: ScalarField, y, epsilon: int = 1, h: float = 1e-5,
     Entirely independent of the Hessian-formula route except for the
     field itself. All 2(n-1) stencil points of every row of a (P, n) y go
     through one first-order field evaluation, grouped by row (the layout
-    a per-row field such as indicatrix.adapted_field expects). ``frame``
-    is the oriented tangent frame at y when the caller already has it;
-    otherwise it is completed from the gradient at y.
+    a per-row field such as indicatrix.adapted_field expects); ``h`` is
+    one step, or one per row. ``frame`` is the oriented tangent frame at
+    y when the caller already has it; otherwise it is completed from the
+    gradient at y.
     """
     y = np.asarray(y, dtype=float)
     if frame is None:

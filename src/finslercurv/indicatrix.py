@@ -68,9 +68,9 @@ def chunk_points(dim: int) -> int:
 # the rest of its batch goes on.
 POINT_ERRORS = (FinslerError, ValueError, ArithmeticError)
 
-# Step of the finite-difference Weingarten oracle, and the fixed bound on
-# the formula-vs-oracle gap at that step; separate from the user tolerance
-# on the claim residuals.
+# Largest step of the finite-difference Weingarten oracle (_oracle_steps
+# shrinks it per point), and the fixed bound on the formula-vs-oracle gap;
+# separate from the user tolerance on the claim residuals.
 ORACLE_STEP = 1e-5
 ORACLE_GAP_BOUND = 1e-5
 
@@ -110,11 +110,9 @@ class CurvatureReport(NamedTuple):
 
 
 def defining_field(fund: FundamentalFunction) -> ScalarField:
-    """f(y) = (F(y)^2 - 1)/2; its Hessian is the metric tensor g."""
-    def func(z):
-        v = fund.value(z)
-        return (v * v - 1.0) * 0.5
-    return ScalarField(fund.dim, func, fund.guard, fund.guard_rows)
+    """f(y) = (F(y)^2 - 1)/2, the energy field minus 1/2; its Hessian is the metric tensor g."""
+    energy = energy_field(fund)
+    return dataclasses.replace(energy, func=lambda z: energy.func(z) - 0.5)
 
 
 def normalize_to_indicatrix(fund: FundamentalFunction, direction) -> np.ndarray:
@@ -224,13 +222,27 @@ def adapted_field(fund: FundamentalFunction, point) -> ScalarField:
     """
     points = [point] if isinstance(point, IndicatrixPoint) else list(point)
     back = np.linalg.inv(np.array([p.chol for p in points]).swapaxes(-1, -2))
-    base = defining_field(fund)
-    return ScalarField(fund.dim, base.func, base.guard, base.guard_rows, back)
+    return dataclasses.replace(defining_field(fund), pre=back)
 
 
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+
+
+def _oracle_steps(pre: np.ndarray) -> np.ndarray:
+    """The Weingarten oracle's step for each matrix B of a (P, n, n) pre-map stack.
+
+    A step in adapted coordinates z grows by up to ||B||_2 = 1/sqrt(lambda_min(g))
+    in w = B z, where the field is evaluated. So ORACLE_STEP is divided by the power
+    of two nearest sqrt(||B||_1 ||B||_inf), an upper bound on ||B||_2 that costs two
+    absolute sums per matrix (||B||_2 itself needs an SVD, 1-2.7 ms per chunk). It is
+    never multiplied: where B stretches by less than sqrt(2), as at every euclidean
+    point (B = I up to rounding), the step stays ORACLE_STEP, bit for bit.
+    """
+    mag = np.abs(pre)
+    bound = np.sqrt(mag.sum(axis=-2).max(axis=-1) * mag.sum(axis=-1).max(axis=-1))
+    return np.ldexp(ORACLE_STEP, -np.maximum(0, np.rint(np.log2(bound))).astype(int))
 
 
 def _chunk_reports(fund, points, method, fd_step) -> list[CurvatureReport]:
@@ -248,7 +260,7 @@ def _chunk_reports(fund, points, method, fd_step) -> list[CurvatureReport]:
     normal = unit_normal(ev, 1)  # outward: the radius vector
     h_trace = mean_curvature_trace(ev, normal)
     shape = shape_operator(ev, normal)
-    oracle = weingarten_oracle(fld, z, 1, ORACLE_STEP, frame=shape.frame)
+    oracle = weingarten_oracle(fld, z, 1, _oracle_steps(fld.pre), frame=shape.frame)
     principal = shape.principal_curvatures
     # one list per residual, so that the records hold Python floats
     H, residual_H, residual_trace, residual_umbilic, oracle_gap, path_gap, \

@@ -71,12 +71,12 @@ class FundamentalFunction:
         return total(autodiff.power(z, p)) ** (1.0 / p)
 
     def guard(self, y) -> bool:
-        """True where F and its metric tensor are smooth and well posed."""
+        """guard_rows for one point y, as one bool."""
         y = np.asarray(y, dtype=float)
         return y.shape == (self.dim,) and bool(self.guard_rows(y[None])[0])
 
     def guard_rows(self, rows) -> np.ndarray:
-        """``guard`` on every row of an (R, dim) array, as R booleans."""
+        """One bool per row of an (R, dim) array: True where F and g are smooth and well posed."""
         rows = np.asarray(rows, dtype=float)
         nrm = np.linalg.norm(rows, axis=-1)
         inside = nrm > 0.0
@@ -191,7 +191,7 @@ def energy_field(fund: FundamentalFunction) -> ScalarField:
     def func(z):
         v = fund.value(z)
         return (v * v) * 0.5
-    return ScalarField(fund.dim, func, fund.guard, fund.guard_rows)
+    return ScalarField(fund.dim, func, fund.guard_rows)
 
 
 def eval_F(fund: FundamentalFunction, y):

@@ -4,11 +4,11 @@ Everything here works on plain numpy arrays of modest order (<= 16 in
 practice): Cholesky factorization, orthonormal frame completion around a
 unit normal, quadratic forms, and the normal-deflated trace used by the
 curvature formulas, with an explicit-projection route to the same trace.
-Eigenvalues come from np.linalg.eigvalsh (see
-hypersurface.ShapeOperatorMatrix). Cholesky, frame completion, quadratic
-forms and the trace reduction also take stacks (leading axes before the
-vector or matrix axes) and treat every entry of the stack alone. All
-functions are pure; nothing is cached or mutated.
+Cholesky factors come from LAPACK (np.linalg.cholesky), eigenvalues from
+np.linalg.eigvalsh (see hypersurface.ShapeOperatorMatrix). Cholesky,
+frame completion, quadratic forms and the trace reduction also take
+stacks (leading axes before the vector or matrix axes) and treat every
+entry of the stack alone. All functions are pure; nothing is cached.
 """
 
 from __future__ import annotations
@@ -87,27 +87,23 @@ class TangentFrame:
 
 
 def cholesky(g) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == g, for SPD input g (or a stack).
+    """Lower-triangular L with L @ L.T == g, for SPD input g (or a stack), from LAPACK.
 
-    Raises NotPositiveDefinite as soon as a pivot drops below
-    PIVOT_REL_TOL times the largest diagonal entry of its matrix.
+    Raises NotPositiveDefinite where LAPACK fails, or where a pivot L_jj^2 is
+    at most PIVOT_REL_TOL times the largest diagonal entry of its matrix.
     """
     g = _as_symmetric(g)
-    n = g.shape[-1]
-    if n < 1:
+    if g.shape[-1] < 1:
         raise DimensionMismatch("matrix order must be >= 1")
+    try:
+        low = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("matrix is not positive definite") from None
+    pivots = np.diagonal(low, axis1=-2, axis2=-1) ** 2
     floor = PIVOT_REL_TOL * np.diagonal(g, axis1=-2, axis2=-1).max(axis=-1)
-    low = np.zeros_like(g)
-    for j in range(n):
-        row = low[..., j, :j]
-        pivot = g[..., j, j] - (row * row).sum(axis=-1)
-        bad = _first(pivot, pivot <= floor)
-        if bad is not None:
-            raise NotPositiveDefinite(f"pivot {bad:.3e} at column {j}")
-        diag = np.sqrt(pivot)
-        low[..., j, j] = diag
-        below = (low[..., j + 1:, :j] * row[..., None, :]).sum(axis=-1)
-        low[..., j + 1:, j] = (g[..., j + 1:, j] - below) / diag[..., None]
+    bad = _first(pivots, pivots <= floor[..., None])
+    if bad is not None:
+        raise NotPositiveDefinite(f"pivot {bad:.3e} is at most {PIVOT_REL_TOL:g} x max diag")
     return low
 
 

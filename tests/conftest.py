@@ -42,7 +42,7 @@ def interior_points(fund, count, seed):
         rng = np.random.default_rng([seed, rng_index])
         rng_index += 1
         y = rng.standard_normal(fund.dim) * rng.uniform(0.5, 2.0)
-        if not fund.guard(y):
+        if not fund.guard_rows(y[None])[0]:
             continue
         if fund.guard_margin > 0.0 and \
                 np.min(np.abs(y)) < 3.0 * fund.guard_margin * np.linalg.norm(y):

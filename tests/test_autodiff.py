@@ -204,9 +204,17 @@ class TestGradHess:
 
     def test_guard_enforced(self):
         fld = fc.ScalarField(2, lambda z: z[0] + z[1],
-                             guard=lambda y: bool(np.linalg.norm(y) > 1.0))
+                             guard=lambda y: np.linalg.norm(y, axis=-1) > 1.0)
         with pytest.raises(DomainViolation):
             fc.grad_hess(fld, [0.1, 0.1])
+
+    def test_guard_must_return_one_boolean_per_row(self):
+        # a per-point predicate gets the whole (R, n) array and returns one bool
+        fld = fc.ScalarField(2, lambda z: z[0] + z[1],
+                             guard=lambda y: bool(np.linalg.norm(y) > 1.0))
+        for y in ([3.0, 4.0], [[3.0, 4.0], [0.1, 0.1]]):
+            with pytest.raises(DimensionMismatch):
+                fc.grad_hess(fld, y)
 
     def test_dimension_mismatch(self):
         fld = fc.ScalarField(2, lambda z: z[0])
@@ -254,7 +262,7 @@ class TestFiniteDifferences:
 
     def test_stencil_guard(self):
         fld = fc.ScalarField(2, lambda z: z[0] * z[1],
-                             guard=lambda y: bool(np.all(y > 0.0)))
+                             guard=lambda y: np.all(y > 0.0, axis=-1))
         with pytest.raises(DomainViolation):
             fc.fd_grad_hess(fld, [1e-7, 1.0], 1e-5)
 
@@ -325,7 +333,7 @@ class TestVectorSeeds:
             def func(z):
                 v = F(z)
                 return (v * v - level) * 0.5 if level else (v * v) * 0.5
-            return fc.ScalarField(n, func, fund.guard, fund.guard_rows, pre)
+            return fc.ScalarField(n, func, fund.guard_rows, pre)
 
         adapted = [ind.adapted_field(fund, p) for p in points]
         cases = [  # (catalog field, user field, rows, the catalog field of each row alone)

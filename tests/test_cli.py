@@ -132,6 +132,17 @@ class TestVerifyCommand:
         assert payload["pass"] is False
         assert payload["failures"]
 
+    @pytest.mark.parametrize("p", [8, 12, 16])
+    def test_high_exponent_pnorm_passes(self, capsys, p):
+        # at the sampling guard cond(g) reaches 6e9 for p = 16: the oracle's step
+        # must shrink with the pull-back's stretch, or truncation fails the gap bound
+        code = cli.main(["verify", "--metric", f"pnorm:p={p}", "--dim", "3",
+                         "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["pass"] is True
+        assert payload["max_oracle_gap"] <= ind.ORACLE_GAP_BOUND
+
     def test_text_output(self, capsys):
         code = cli.main(["verify", "--metric", "euclidean", "--dim", "3",
                          "--samples", "10"])

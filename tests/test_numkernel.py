@@ -16,6 +16,16 @@ def random_sym(rng, n):
     return 0.5 * (r + r.T)
 
 
+def column_cholesky(g):
+    """Textbook Cholesky, one column at a time: the reference for LAPACK's factor."""
+    n = len(g)
+    low = np.zeros_like(g)
+    for j in range(n):
+        low[j, j] = np.sqrt(g[j, j] - low[j, :j] @ low[j, :j])
+        low[j + 1:, j] = (g[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
 class TestCholesky:
     def test_identity(self):
         assert np.array_equal(fc.cholesky(np.eye(3)), np.eye(3))
@@ -43,6 +53,39 @@ class TestCholesky:
         g = np.array([[1.0, 0.0], [0.0, 1e-14]])
         with pytest.raises(NotPositiveDefinite):
             fc.cholesky(g)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_reference_within_backward_error_bound(self, n):
+        # each factor is the exact factor of g + dg, |dg| <= gamma_{n+1} |L||L^T|
+        # (Higham, Accuracy and Stability, Thm 10.3), so two factors of one g
+        # differ by at most about 2 n (n + 1) u cond(g) ||L||
+        rng = np.random.default_rng(300 + n)
+        u = np.finfo(float).eps / 2
+        for scale in (1.0, 1e-3, 1e-6):  # r r^T is singular: cond(g) about 1/scale
+            r = rng.standard_normal((n, n - 1))
+            g = r @ r.T + scale * np.eye(n)
+            g = 0.5 * (g + g.T)
+            low, ref = fc.cholesky(g), column_cholesky(g)
+            bound = 2 * n * (n + 1) * u * np.linalg.cond(g) * np.linalg.norm(ref, 2)
+            assert np.max(np.abs(low - ref)) <= bound
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stack_factors_like_each_matrix_alone(self, n):
+        # a batch's report equals its point's report alone only if this holds bit for bit
+        rng = np.random.default_rng(200 + n)
+        stack = np.stack([random_spd(rng, n) for _ in range(7)])
+        low = fc.cholesky(stack)
+        for g, l in zip(stack, low):
+            assert np.array_equal(fc.cholesky(g), l)
+
+    @pytest.mark.parametrize("bad", [np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                     np.array([[1.0, 0.0], [0.0, 1e-14]])])
+    def test_one_bad_matrix_rejects_the_stack(self, bad):
+        stack = np.stack([np.eye(2), bad, 2.0 * np.eye(2)])
+        with pytest.raises(NotPositiveDefinite) as info:
+            fc.cholesky(stack)
+        message = str(info.value)
+        assert message and "\n" not in message
 
 
 class TestCompleteFrame:
