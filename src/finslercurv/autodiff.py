@@ -115,7 +115,7 @@ class Dual:
 
     def _reciprocal(self):
         a = self.real
-        if np.any(a == 0.0):
+        if (np.asarray(a) == 0.0).any():
             raise ZeroDivisionError("hyper-dual division by zero real part")
         inv = 1.0 / a
         return self._lift(inv, -inv * inv, 2.0 * inv * inv * inv)
@@ -136,7 +136,7 @@ class Dual:
             df = e * _abs_power(b, a, e - 1)
             d2f = e * (e - 1) * _abs_power(b, a, e - 2) if e != 1 else 0.0
             return self._lift(f, df, d2f)
-        if np.any(np.asarray(self.real) <= 0.0):
+        if (np.asarray(self.real) <= 0.0).any():
             raise DomainViolation("fractional power needs positive real part")
         f = a ** e
         return self._lift(f, e * a ** (e - 1.0), e * (e - 1.0) * a ** (e - 2.0))
@@ -257,7 +257,7 @@ def sqrt(x):
     """Square root for floats, arrays, or (hyper-)dual numbers."""
     if isinstance(x, Dual):
         a = x.real
-        if np.any(np.asarray(a) <= 0.0):
+        if (np.asarray(a) <= 0.0).any():
             raise DomainViolation("sqrt needs positive real part")
         r = np.sqrt(a)
         return x._lift(r, 0.5 / r, -0.25 / (a * r))
@@ -276,7 +276,7 @@ def log(x):
     """Natural logarithm for floats, arrays, or (hyper-)dual numbers."""
     if isinstance(x, Dual):
         a = x.real
-        if np.any(np.asarray(a) <= 0.0):
+        if (np.asarray(a) <= 0.0).any():
             raise DomainViolation("log needs positive real part")
         inv = 1.0 / a
         return x._lift(np.log(a), inv, -inv * inv)

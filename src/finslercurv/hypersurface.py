@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import ScalarField, grad_hess, gradients
 from .exceptions import DimensionMismatch, OffSurface, VanishingGradient
-from .numkernel import TangentFrame, _first, complete_frame, trace_reduction
+from .numkernel import TangentFrame, _first, _norms, complete_frame, trace_reduction
 
 # +1: outward-oriented unit sphere has principal curvatures +1.
 SIGN_CONVENTION = 1.0
@@ -34,6 +34,9 @@ GRADIENT_FLOOR = 1e-10
 
 # |f| above this at an asserted on-surface point raises OffSurface.
 ON_SURFACE_TOL = 1e-8
+
+# (rows, columns) of the entries below the diagonal of an order-m matrix, built once per m.
+_below_diagonal = functools.cache(functools.partial(np.tril_indices, k=-1))
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class ShapeOperatorMatrix:
 
     @functools.cached_property
     def mean(self):
-        mean = np.trace(self.entries, axis1=-2, axis2=-1) / self.entries.shape[-1]
+        mean = self.entries.trace(0, -2, -1) / self.entries.shape[-1]
         return float(mean) if self.entries.ndim == 2 else mean
 
 
@@ -90,7 +93,7 @@ def _check_grad_norm(grad_norm) -> None:
 
 def _unit(gradient, epsilon: int) -> np.ndarray:
     """eps * grad / |grad| over the last axis."""
-    grad_norm = np.linalg.norm(gradient, axis=-1)
+    grad_norm = _norms(gradient)
     _check_grad_norm(grad_norm)
     return epsilon * gradient / grad_norm[..., None]
 
@@ -102,10 +105,9 @@ def defining_evaluation(y, value, gradient, hessian,
         off = _first(np.abs(value), np.abs(value) > ON_SURFACE_TOL)
         if off is not None:
             raise OffSurface(f"|f| = {off:.3e} exceeds {ON_SURFACE_TOL}")
-    grad_norm = np.linalg.norm(gradient, axis=-1)
+    grad_norm = _norms(gradient)
     _check_grad_norm(grad_norm)
-    if np.ndim(grad_norm) == 0:
-        grad_norm = float(grad_norm)
+    grad_norm = float(grad_norm) if grad_norm.ndim == 0 else grad_norm
     return DefiningEvaluation(y, value, gradient, hessian, grad_norm)
 
 
@@ -140,8 +142,10 @@ def shape_operator(ev: DefiningEvaluation, normal: OrientedNormal,
         frame = complete_frame(normal.direction)
     coef = SIGN_CONVENTION * normal.epsilon / np.asarray(normal.grad_norm)[..., None, None]
     basis = frame.basis
-    full = coef * (basis @ ev.hessian @ np.swapaxes(basis, -1, -2))
-    entries = np.triu(full) + np.swapaxes(np.triu(full, 1), -1, -2)
+    full = coef * (basis @ ev.hessian @ basis.swapaxes(-1, -2))
+    entries = full + 0.0  # a copy in which -0.0 reads +0.0, in both triangles
+    rows, cols = _below_diagonal(full.shape[-1])
+    entries[..., rows, cols] = entries[..., cols, rows]
     return ShapeOperatorMatrix(frame, entries)
 
 
@@ -176,12 +180,12 @@ def weingarten_oracle(fld: ScalarField, y, epsilon: int = 1, h: float = 1e-5,
     if frame is None:
         frame = complete_frame(_unit(gradients(fld, y)[1], epsilon))
     n = y.shape[-1]
-    step = h * np.maximum(1.0, np.linalg.norm(y, axis=-1))
-    offsets = step[..., None, None] * frame.basis  # (..., k, n)
-    stencil = y[..., None, None, :] + np.stack([offsets, -offsets], axis=-2)
+    step = h * np.maximum(1.0, _norms(y))
+    offsets = step[..., None, None, None] * frame.basis[..., None, :]  # (..., k, 1, n)
+    stencil = y[..., None, None, :] + np.concatenate([offsets, -offsets], axis=-2)
     _, grads = gradients(fld, stencil.reshape(-1, n))
     normals = _unit(grads, epsilon).reshape(stencil.shape)
     derivs = (normals[..., 0, :] - normals[..., 1, :]) / (2.0 * step[..., None, None])
-    raw = SIGN_CONVENTION * frame.basis @ np.swapaxes(derivs, -1, -2)  # X_a . D_b N
-    entries = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    raw = SIGN_CONVENTION * frame.basis @ derivs.swapaxes(-1, -2)  # X_a . D_b N
+    entries = 0.5 * (raw + raw.swapaxes(-1, -2))
     return ShapeOperatorMatrix(frame, entries)

@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import ScalarField, grad_hess, matvec, point_rows, total
 from .exceptions import DomainViolation, InvalidParams, UsageError
-from .numkernel import cholesky
+from .numkernel import _norms, cholesky
 
 FAMILIES = ("euclidean", "quadratic", "randers", "pnorm", "mroot")
 
@@ -78,10 +78,10 @@ class FundamentalFunction:
     def guard_rows(self, rows) -> np.ndarray:
         """One bool per row of an (R, dim) array: True where F and g are smooth and well posed."""
         rows = np.asarray(rows, dtype=float)
-        nrm = np.linalg.norm(rows, axis=-1)
+        nrm = _norms(rows)
         inside = nrm > 0.0
         if self.guard_margin > 0.0:
-            inside &= np.min(np.abs(rows), axis=-1) >= self.guard_margin * nrm
+            inside &= np.abs(rows).min(axis=-1) >= self.guard_margin * nrm
         return inside
 
     def describe(self) -> str:
@@ -96,7 +96,7 @@ def _spd_matrix(a, what: str) -> np.ndarray:
     _dimension(a.shape[0])
     if not np.isfinite(a).all():
         raise InvalidParams(f"{what} must have finite entries")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         raise InvalidParams(f"{what} must be symmetric")
     try:
         cholesky(a)
@@ -222,8 +222,8 @@ def check_homogeneity(fund: FundamentalFunction, y, lam: float):
     Returns (|F(lam y) - lam F(y)| / (lam F(y)),
              max-entry relative difference of g at lam*y versus y).
     """
-    if lam <= 0.0:
-        raise InvalidParams("lambda must be positive")
+    if not 0.0 < lam < np.inf:  # also NaN
+        raise InvalidParams("lambda must be finite and positive")
     y = np.asarray(y, dtype=float)
     f0 = eval_F(fund, y)
     f1 = eval_F(fund, lam * y)

@@ -40,9 +40,14 @@ def _as_symmetric(a, stack: bool = True) -> np.ndarray:
     a = _as_square(a)
     if not stack and a.ndim != 2:
         raise DimensionMismatch(f"expected one square matrix, got shape {a.shape}")
-    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
+    if not (a == a.swapaxes(-1, -2)).all():  # a NaN entry never equals its mirror
         raise ValueError("matrix is not symmetric")
     return a
+
+
+def _norms(x) -> np.ndarray:
+    """Euclidean norm over the last axis: np.linalg.norm(x, axis=-1)'s own arithmetic."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _as_unit(v) -> np.ndarray:
@@ -50,7 +55,7 @@ def _as_unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim < 1:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
-    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > UNIT_TOL):
+    if (np.abs(_norms(v) - 1.0) > UNIT_TOL).any():
         raise NotUnit("vector is not unit length")
     return v
 
@@ -79,10 +84,10 @@ class TangentFrame:
         if (self.normal.shape[-1:] != (n,)
                 or self.basis.shape != self.normal.shape[:-1] + (n - 1, n)):
             raise DimensionMismatch("frame arrays have inconsistent shapes")
-        gram = self.basis @ np.swapaxes(self.basis, -1, -2)
-        if np.max(np.abs(gram - np.eye(n - 1))) > FRAME_TOL:
+        gram = self.basis @ self.basis.swapaxes(-1, -2)
+        if np.abs(gram - np.eye(n - 1)).max() > FRAME_TOL:
             raise ValueError("tangent basis is not orthonormal")
-        if np.max(np.abs(self.basis @ self.normal[..., None])) > FRAME_TOL:
+        if np.abs(self.basis @ self.normal[..., None]).max() > FRAME_TOL:
             raise ValueError("tangent basis is not orthogonal to the normal")
 
 
@@ -99,8 +104,8 @@ def cholesky(g) -> np.ndarray:
         low = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("matrix is not positive definite") from None
-    pivots = np.diagonal(low, axis1=-2, axis2=-1) ** 2
-    floor = PIVOT_REL_TOL * np.diagonal(g, axis1=-2, axis2=-1).max(axis=-1)
+    pivots = low.diagonal(0, -2, -1) ** 2
+    floor = PIVOT_REL_TOL * g.diagonal(0, -2, -1).max(axis=-1)
     bad = _first(pivots, pivots <= floor[..., None])
     if bad is not None:
         raise NotPositiveDefinite(f"pivot {bad:.3e} is at most {PIVOT_REL_TOL:g} x max diag")
@@ -123,7 +128,7 @@ def complete_frame(normal) -> TangentFrame:
         raise DimensionMismatch("ambient dimension must be >= 2")
     u = normal.copy()
     u[..., 0] -= np.where(normal[..., 0] > 0.5, -1.0, 1.0)  # normal - sign*e1, never ~0
-    beta = 2.0 / np.sum(u * u, axis=-1)
+    beta = 2.0 / np.add.reduce(u * u, axis=-1)
     basis = -(beta[..., None] * u[..., 1:])[..., None] * u[..., None, :]
     basis[..., np.arange(n - 1), np.arange(1, n)] += 1.0
     normal = normal.copy()
@@ -154,7 +159,7 @@ def trace_reduction(a, normal):
     normal = _as_unit(normal)
     if normal.shape != a.shape[:-1]:
         raise DimensionMismatch("normal length does not match matrix order")
-    value = np.trace(a, axis1=-2, axis2=-1) - quadratic_form(a, normal, normal)
+    value = a.trace(0, -2, -1) - quadratic_form(a, normal, normal)
     return float(value) if a.ndim == 2 else value
 
 

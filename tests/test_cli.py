@@ -247,6 +247,30 @@ class TestOtherCommands:
         assert cli.main(["curvature", "--point", "0.6,0.8"] + argv) == code
         assert json.loads(capsys.readouterr().out)["pass"] is (code == 0)
 
+    @pytest.mark.parametrize("edit", [
+        {"residual_H": 1e-8, "residual_trace": 1e-8, "residual_umbilic": 1e-8},
+        {"residual_umbilic": float(np.nextafter(1e-8, 1.0))},
+        {"oracle_gap": ind.ORACLE_GAP_BOUND},
+        {"oracle_gap": float(np.nextafter(ind.ORACLE_GAP_BOUND, 1.0))},
+        {"oracle_gap": float("nan")},
+        {"residual_trace": float("nan")},
+    ])
+    def test_curvature_verdict_on_edge_reports(self, capsys, monkeypatch, edit):
+        # residuals at tol, the gap at its bound, a NaN gap (skipped) or residual (fails)
+        reports = []
+        adapted_report = ind.adapted_report
+
+        def edited(*args, **kwargs):
+            reports.append(adapted_report(*args, **kwargs)._replace(**edit))
+            return reports[-1]
+
+        monkeypatch.setattr(ind, "adapted_report", edited)
+        code = cli.main(["curvature", "--metric", "pnorm:p=4", "--dim", "3",
+                         "--point", "1,-2,1.5", "--format", "json"])
+        want = ind._aggregate("hyperdual", reports, 1e-8).passed
+        assert json.loads(capsys.readouterr().out)["pass"] is want
+        assert code == (0 if want else 1)
+
     def test_sample_csv(self, capsys):
         code = cli.main(["sample", "--metric", "pnorm:p=4", "--dim", "3",
                          "--samples", "7", "--format", "csv"])
@@ -356,6 +380,15 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"finslercurv: error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--metric", "euclidean", "--dim", "3", "--samples", "3", "--seed", "-1"],
+        ["sample", "--metric", "euclidean", "--dim", "3", "--samples", "3", "--seed", "-1"],
+        ["lemma-test", "--trials", "3", "--seed", "-1"],
+    ])
+    def test_negative_seed_exits_two(self, capsys, argv):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "finslercurv: error: --seed must be >= 0\n"
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--metric", "quadratic:A=2", "--samples", "3"],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import finslercurv as fc
+from finslercurv import hypersurface
 from finslercurv.exceptions import OffSurface, VanishingGradient
 
 
@@ -125,6 +126,32 @@ class TestShapeOperator:
         s_minus = fc.shape_operator(ev, minus, frame=frame)
         assert np.array_equal(s_minus.entries, -s_plus.entries)
         assert fc.mean_curvature_trace(ev, minus) == -fc.mean_curvature_trace(ev, plus)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_mirror_bits_match_triu_sum(self, n):
+        # entries equal np.triu(full) + np.triu(full, 1)^T bit for bit, on a stack whose
+        # projected Hessians hold +-0.0, NaN and inf
+        rng = np.random.default_rng(70 + n)
+        hess = rng.standard_normal((6, n, n))
+        hess[0] = 0.0                                   # with eps = -1, full is all -0.0
+        hess[1, 1, -1] = 0.0                            # one zero entry
+        hess[2, -1, 1] = np.nan                         # NaN below the diagonal only
+        hess[3, 1, 1] = np.inf                          # inf and NaN (0 * inf)
+        hess[4] *= 1e306                                # full overflows to +-inf
+        basis = np.broadcast_to(np.eye(n)[1:], (6, n - 1, n))  # exact: e_2, ..., e_n
+        normal = np.broadcast_to(np.eye(n)[0], (6, n))
+        frame = fc.TangentFrame(n, normal, basis)
+        grad_norm = np.array([1.0, 2.0, 0.5, 3.0, 1e-3, 1.0])
+        ev = fc.DefiningEvaluation(normal, np.zeros(6), normal, hess, grad_norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shape = fc.shape_operator(ev, fc.OrientedNormal(-normal, -1, grad_norm), frame)
+            coef = hypersurface.SIGN_CONVENTION * -1 / grad_norm[:, None, None]
+            full = coef * (basis @ hess @ np.swapaxes(basis, -1, -2))
+            want = np.triu(full) + np.swapaxes(np.triu(full, 1), -1, -2)
+        assert np.array_equal(shape.entries.view(np.uint64), want.view(np.uint64))
+        if n > 2:  # the stack really holds each special value
+            assert (np.signbit(full) & (full == 0.0)).any()
+            assert np.isnan(full).any() and np.isinf(full).any()
 
 
 class TestMeanCurvatureTrace:

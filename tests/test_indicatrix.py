@@ -124,6 +124,14 @@ class TestSampling:
         with pytest.raises(RejectionOverflow):
             fc.sample_indicatrix(fund, 1, 0)
 
+    def test_negative_seed_rejected_before_first_draw(self, monkeypatch):
+        def no_draws(seed=None):
+            raise AssertionError("a generator was created")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            fc.sample_indicatrix(fc.euclidean(3), 5, -1)
+
     def test_empty_domain_rejected_before_first_draw(self, monkeypatch):
         # 0.15 * sqrt(n) > 1 from n = 45 on: no direction passes the guard
         def no_draws(seed=None):

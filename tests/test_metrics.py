@@ -81,6 +81,16 @@ class TestConstruction:
             with pytest.raises(InvalidParams, match="must be symmetric"):
                 build()
 
+    @pytest.mark.parametrize("a, message", [
+        ([[2.0, 1.0], [0.5, 2.0]], "quadratic matrix must be symmetric"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "quadratic matrix must have finite entries"),
+        ([[1.0, 2.0], [2.0, 1.0]], "quadratic matrix must be positive definite"),
+    ])
+    def test_matrix_check_messages(self, a, message):
+        with pytest.raises(InvalidParams) as info:
+            fc.quadratic(a)
+        assert str(info.value) == message
+
     def test_matrix_stored_as_given(self):
         # no symmetrization: a + a.T would overflow at 1e308
         a = np.diag([1e308, 1e300])
@@ -193,6 +203,13 @@ class TestHomogeneity:
         for y in interior_points(fund, 20, 6):
             res_f, res_g = fc.check_homogeneity(fund, y, 0.5)
             assert res_f <= 1e-10 and res_g <= 1e-10
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0, -1.0])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic warns
+            with pytest.raises(InvalidParams, match="^lambda must be finite and positive$"):
+                fc.check_homogeneity(fc.euclidean(2), [1.0, 2.0], lam)
 
     @pytest.mark.parametrize("family", ("euclidean", "quadratic", "randers", "pnorm", "mroot"))
     def test_euler_identity(self, family):

@@ -88,6 +88,43 @@ class TestCholesky:
         assert message and "\n" not in message
 
 
+ASYMMETRIC = np.array([[2.0, 1.0], [0.5, 2.0]])
+NAN_DIAGONAL = np.array([[np.nan, 0.0], [0.0, 1.0]])
+NAN_OFF_DIAGONAL = np.array([[1.0, np.nan], [np.nan, 1.0]])
+
+
+class TestInputChecks:
+    """The symmetry and unit-length checks raise the same class and message for every input."""
+
+    @pytest.mark.parametrize("a", [ASYMMETRIC, NAN_DIAGONAL, NAN_OFF_DIAGONAL,
+                                   np.stack([np.eye(2), ASYMMETRIC])])
+    def test_cholesky_rejects_asymmetric_and_nan(self, a):
+        # a NaN entry never equals its mirror, so NaN reads as asymmetric
+        with pytest.raises(ValueError) as info:
+            fc.cholesky(a)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "matrix is not symmetric"
+
+    @pytest.mark.parametrize("a", [ASYMMETRIC, NAN_DIAGONAL, NAN_OFF_DIAGONAL])
+    def test_trace_reduction_rejects_asymmetric_and_nan(self, a):
+        with pytest.raises(ValueError) as info:
+            fc.trace_reduction(a, np.array([1.0, 0.0]))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "matrix is not symmetric"
+
+    @pytest.mark.parametrize("normal", [np.array([1.0, 1.0]), np.array([1.0 + 2e-10, 0.0]),
+                                        np.array([[0.6, 0.8], [0.0, 0.5]])])
+    def test_trace_reduction_rejects_non_unit(self, normal):
+        with pytest.raises(NotUnit, match="^vector is not unit length$"):
+            fc.trace_reduction(np.broadcast_to(np.eye(2), normal.shape + (2,)), normal)
+
+    def test_unit_tolerance_boundary(self):
+        # within UNIT_TOL of length 1 passes, on one vector and on a stack
+        normal = np.array([[1.0 + 5e-11, 0.0], [0.0, 1.0 - 5e-11]])
+        assert fc.trace_reduction(np.eye(2), normal[0]) == (2.0 - (1.0 + 5e-11) ** 2)
+        assert fc.trace_reduction(np.stack([np.eye(2)] * 2), normal).shape == (2,)
+
+
 class TestCompleteFrame:
     def test_axis_aligned(self):
         frame = fc.complete_frame(np.array([1.0, 0.0, 0.0]))
