@@ -86,7 +86,7 @@ class ShapeOperatorMatrix:
 
 
 def _check_grad_norm(grad_norm) -> None:
-    small = _first(grad_norm, np.asarray(grad_norm) <= GRADIENT_FLOOR)
+    small = _first(grad_norm, ~(np.asarray(grad_norm) > GRADIENT_FLOOR))  # NaN is small
     if small is not None:
         raise VanishingGradient(f"|grad f| = {small:.3e}")
 

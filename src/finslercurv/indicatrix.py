@@ -17,14 +17,15 @@ adapted coordinates rides in the derivative seeds (ScalarField.pre), so
 it adds no dual arithmetic. A chunk in which any point raises is redone
 by halves down to the failing point, so every point gets exactly the
 outcome it would get alone. The per-point records are immutable
-NamedTuples, built a chunk at a time by mapping the record type over the
-chunk's result rows.
+NamedTuples, built a chunk at a time. In verify_claims a chunk's stacked
+arrays go from the sampler to the reports to the statistics unregathered.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -148,17 +149,42 @@ def _isolating(compute, items, keep_errors: bool) -> list:
             + _isolating(compute, items[half:], keep_errors))
 
 
-def _indicatrix_points(fund: FundamentalFunction, rows: np.ndarray) -> list[IndicatrixPoint]:
+class _Chunk:
+    """Consecutive indicatrix points with their Cholesky factors and adapted rows stacked.
+
+    A slice cuts the stacks with the records, so a chunk bisected around a
+    failing point keeps them aligned.
+    """
+
+    def __init__(self, points: list, chol: np.ndarray, z: np.ndarray):
+        self.points, self.chol, self.z = points, chol, z
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, part: slice) -> _Chunk:
+        return _Chunk(self.points[part], self.chol[part], self.z[part])
+
+
+def _gathered(points: list) -> _Chunk:
+    """``points`` as a _Chunk, the stacks gathered from their records."""
+    return _Chunk(points, np.array([p.chol for p in points]),
+                  np.array([p.y_adapted for p in points]))
+
+
+def _indicatrix_points(fund: FundamentalFunction, rows: np.ndarray) -> _Chunk:
     """IndicatrixPoints for (P, n) rows on the indicatrix, one batched evaluation."""
     _, _, g = grad_hess(energy_field(fund), rows)
     low = cholesky(g)  # SPD check and factor at once; NotPositiveDefinite propagates
     adapted = (rows[:, None, :] @ low)[:, 0, :]  # chol.T @ y per row
-    return list(map(IndicatrixPoint, rows, map(MetricTensor, rows, g), low, adapted))
+    new = tuple.__new__  # C-level record construction, no Python __new__ per point
+    return _Chunk([new(IndicatrixPoint, (y, new(MetricTensor, (y, gy)), chol, z))
+                   for y, gy, chol, z in zip(rows, g, low, adapted)], low, adapted)
 
 
 def indicatrix_point(fund: FundamentalFunction, y) -> IndicatrixPoint:
     """Attach metric, Cholesky factor and adapted coordinates to a point."""
-    return _indicatrix_points(fund, np.asarray(y, dtype=float)[None])[0]
+    return _indicatrix_points(fund, np.asarray(y, dtype=float)[None]).points[0]
 
 
 def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[IndicatrixPoint]:
@@ -177,6 +203,11 @@ def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[
     direction can meet at this dimension raises RejectionOverflow before
     the first draw.
     """
+    return [point for chunk in _sample_chunks(fund, count, seed) for point in chunk.points]
+
+
+def _sample_chunks(fund: FundamentalFunction, count: int, seed: int) -> list[_Chunk]:
+    """sample_indicatrix's points, as _Chunks of chunk_points(dim) points."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if seed < 0:
@@ -207,7 +238,7 @@ def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[
                 "guard domain too aggressive for this dimension")
         retry += 1
     return _by_chunks(
-        lambda rows: _indicatrix_points(fund, normalize_to_indicatrix(fund, rows)),
+        lambda rows: [_indicatrix_points(fund, normalize_to_indicatrix(fund, rows))],
         directions, chunk_points(fund.dim), keep_errors=False)
 
 
@@ -221,8 +252,13 @@ def adapted_field(fund: FundamentalFunction, point) -> ScalarField:
     (of R rows, each consecutive block of R / P rows belongs to one point,
     in order).
     """
-    points = [point] if isinstance(point, IndicatrixPoint) else list(point)
-    back = np.linalg.inv(np.array([p.chol for p in points]).swapaxes(-1, -2))
+    points = [point] if isinstance(point, IndicatrixPoint) else point
+    return _adapted_field(fund, np.array([p.chol for p in points]))
+
+
+def _adapted_field(fund: FundamentalFunction, chol: np.ndarray) -> ScalarField:
+    """adapted_field for a (P, n, n) stack of Cholesky factors."""
+    back = np.linalg.inv(chol.swapaxes(-1, -2))
     return ScalarField(fund.dim, defining_field(fund).func, fund.guard_rows, back)
 
 
@@ -246,16 +282,17 @@ def _oracle_steps(pre: np.ndarray) -> np.ndarray:
     return np.ldexp(ORACLE_STEP, -np.maximum(0, np.rint(np.log2(bound))).astype(int))
 
 
-def _chunk_reports(fund, points, method, fd_step) -> list[CurvatureReport]:
+def _chunk_reports(fund, chunk: _Chunk, method, fd_step) -> tuple[list, np.ndarray]:
     """Curvature reports for a chunk of points, every stage run once on stacked rows.
 
+    Returns the reports and their float fields, in field order, as (8, P) columns.
     The adapted Hessian is a fresh evaluation of the defining field in
     adapted coordinates, not a transform of the metric stored with each
     point: it uses that g only through the Cholesky pull-back B = chol^-T,
     so the claims compare two independent evaluations of g.
     """
-    fld = adapted_field(fund, points)
-    z = np.array([p.y_adapted for p in points])
+    fld = _adapted_field(fund, chunk.chol)
+    z = chunk.z
     derive = grad_hess if method == "hyperdual" else lambda f, y: fd_grad_hess(f, y, fd_step)
     ev = defining_evaluation(z, *derive(fld, z), on_surface=method == "hyperdual")
     normal = unit_normal(ev, 1)  # outward: the radius vector
@@ -263,21 +300,21 @@ def _chunk_reports(fund, points, method, fd_step) -> list[CurvatureReport]:
     shape = shape_operator(ev, normal)
     oracle = weingarten_oracle(fld, z, 1, _oracle_steps(fld.pre), frame=shape.frame)
     principal = shape.principal_curvatures
+    columns = np.array([
+        h_trace,
+        np.abs(h_trace - 1.0),
+        np.abs(ev.hessian.trace(0, -2, -1) - fund.dim),
+        np.abs(principal - 1.0).max(axis=-1),
+        np.abs(shape.entries - oracle.entries).max(axis=(-2, -1)),
+        np.abs(h_trace - shape.mean),
+        np.abs(normal.direction - z).max(axis=-1),
+        np.abs(ev.grad_norm - 1.0),
+    ])
     # one list per residual, so that the records hold Python floats
-    H, residual_H, residual_trace, residual_umbilic, oracle_gap, path_gap, \
-        normal_residual, grad_norm_residual = (values.tolist() for values in (
-            h_trace,
-            np.abs(h_trace - 1.0),
-            np.abs(ev.hessian.trace(0, -2, -1) - fund.dim),
-            np.abs(principal - 1.0).max(axis=-1),
-            np.abs(shape.entries - oracle.entries).max(axis=(-2, -1)),
-            np.abs(h_trace - shape.mean),
-            np.abs(normal.direction - z).max(axis=-1),
-            np.abs(ev.grad_norm - 1.0),
-        ))
-    return list(map(CurvatureReport, points, H, principal, residual_H, residual_trace,
-                    residual_umbilic, repeat(method), oracle_gap, path_gap,
-                    normal_residual, grad_norm_residual))
+    H, residual_H, residual_trace, residual_umbilic, *rest = columns.tolist()
+    return list(map(partial(tuple.__new__, CurvatureReport), zip(
+        chunk.points, H, principal, residual_H, residual_trace, residual_umbilic,
+        repeat(method), *rest))), columns
 
 
 def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual",
@@ -290,7 +327,7 @@ def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual"
     """
     _check_method(method)
     return _by_chunks(
-        lambda chunk: _chunk_reports(fund, chunk, method, fd_step),
+        lambda chunk: _chunk_reports(fund, _gathered(chunk), method, fd_step)[0],
         list(points), chunk_points(fund.dim), keep_errors=True)
 
 
@@ -298,7 +335,7 @@ def adapted_report(fund: FundamentalFunction, point: IndicatrixPoint,
                    method: str = "hyperdual", fd_step: float = 1e-5) -> CurvatureReport:
     """Curvature residuals at one indicatrix point, in adapted coordinates."""
     _check_method(method)
-    return _chunk_reports(fund, [point], method, fd_step)[0]
+    return _chunk_reports(fund, _gathered([point]), method, fd_step)[0][0]
 
 
 @dataclass
@@ -333,36 +370,43 @@ class VerificationSummary:
 
 
 def _aggregate(method: str, reports: list, tol: float) -> MethodStats:
-    """Residual maxima, failure records and the pass rule over ``reports``.
+    """_statistics over a list of reports, an exception in place of each that raised."""
+    return _statistics(method, [item if isinstance(item, Exception) else
+                                ([item], np.array([[item.H, *item[3:6], *item[7:]]]).T)
+                                for item in reports], tol)[1]
 
+
+def _statistics(method: str, pieces: list, tol: float) -> tuple[list, MethodStats]:
+    """One method's reports, and their residual maxima, failure records and pass rule.
+
+    ``pieces`` are in index order: each is a (reports, columns) pair as
+    _chunk_reports returns it, or the exception of one report that raised.
     A batch passes when no report raised, every report's residuals are
     within ``tol`` and the largest oracle gap is within ORACLE_GAP_BOUND.
     """
-    stats = MethodStats(method)
-    ok = [item for item in reports if not isinstance(item, Exception)]
-    stats.count = len(ok)
-    if ok:
-        column = CurvatureReport._make(zip(*ok))  # each field holds one value per report
-        # like a running max from 0.0: the first of equal maxima wins, NaN is skipped
-        stats.max_residual_H = max(0.0, *column.residual_H)
-        stats.mean_residual_H = float(np.mean(column.residual_H))
-        stats.max_residual_trace = max(0.0, *column.residual_trace)
-        stats.max_residual_umbilic = max(0.0, *column.residual_umbilic)
-        stats.max_oracle_gap = max(0.0, *column.oracle_gap)
-        stats.max_path_gap = max(0.0, *column.path_gap)
-    for index, item in enumerate(reports):
-        if isinstance(item, Exception):
-            stats.failures.append({"index": index, "error": str(item)})
-        elif not _passes(item, tol):
-            stats.failures.append({
-                "index": index,
-                "residual_H": item.residual_H,
-                "residual_trace": item.residual_trace,
-                "residual_umbilic": item.residual_umbilic,
-            })
+    reports, columns, errors = [], [np.empty((8, 0))], {}
+    for piece in pieces:
+        if isinstance(piece, Exception):  # NaN columns: the maxima skip them, the rule fails them
+            errors[len(reports)] = piece
+            piece = [piece], np.full((8, 1), math.nan)
+        reports += piece[0]
+        columns.append(piece[1])
+    columns = np.concatenate(columns, axis=1)
+    stats = MethodStats(method, count=len(reports) - len(errors))
+    if stats.count:  # like a running max from 0.0: NaN is skipped
+        _, stats.max_residual_H, stats.max_residual_trace, stats.max_residual_umbilic, \
+            stats.max_oracle_gap, stats.max_path_gap, _, _ = \
+            np.fmax.reduce(columns, axis=1, initial=0.0).tolist()
+        stats.mean_residual_H = float(np.mean(np.delete(columns[1], list(errors))
+                                              if errors else columns[1]))
+    # the rule of _passes with no gap bound, on every column at once; NaN fails
+    for index in np.flatnonzero(~(columns[1:4] <= tol).all(axis=0)).tolist():
+        stats.failures.append({"index": index, "error": str(errors[index])} if index in errors
+                              else {"index": index, **dict(zip(CurvatureReport._fields[3:6],
+                                                               columns[1:4, index].tolist()))})
     stats.passed = (not stats.failures
                     and stats.max_oracle_gap <= ORACLE_GAP_BOUND)
-    return stats
+    return reports, stats
 
 
 def _passes(rep: CurvatureReport, tol: float, gap_bound: float = math.inf) -> bool:
@@ -384,13 +428,14 @@ def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
     """
     if not tol > 0.0:  # also NaN
         raise ValueError("tol must be positive")
-    points = sample_indicatrix(fund, count, seed)
+    chunks = _sample_chunks(fund, count, seed)
     stats = {}
     all_reports = {}
     for method in methods:
-        reports = adapted_reports(fund, points, method=method, fd_step=fd_step)
-        all_reports[method] = reports
-        stats[method] = _aggregate(method, reports, tol)
+        all_reports[method], stats[method] = _statistics(method, [
+            piece for chunk in chunks for piece in _isolating(
+                lambda part: [_chunk_reports(fund, part, method, fd_step)], chunk,
+                keep_errors=True)], tol)
     return VerificationSummary(
         metric=label if label is not None else fund.describe(),
         dim=fund.dim,
@@ -400,5 +445,5 @@ def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
         stats=stats,
         passed=all(s.passed for s in stats.values()),
         reports=all_reports,
-        points=points,
+        points=[point for chunk in chunks for point in chunk.points],
     )

@@ -55,7 +55,7 @@ def _as_unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim < 1:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
-    if (np.abs(_norms(v) - 1.0) > UNIT_TOL).any():
+    if not (np.abs(_norms(v) - 1.0) <= UNIT_TOL).all():  # NaN fails
         raise NotUnit("vector is not unit length")
     return v
 
@@ -85,9 +85,9 @@ class TangentFrame:
                 or self.basis.shape != self.normal.shape[:-1] + (n - 1, n)):
             raise DimensionMismatch("frame arrays have inconsistent shapes")
         gram = self.basis @ self.basis.swapaxes(-1, -2)
-        if np.abs(gram - np.eye(n - 1)).max() > FRAME_TOL:
+        if not np.abs(gram - np.eye(n - 1)).max() <= FRAME_TOL:  # NaN fails
             raise ValueError("tangent basis is not orthonormal")
-        if np.abs(self.basis @ self.normal[..., None]).max() > FRAME_TOL:
+        if not np.abs(self.basis @ self.normal[..., None]).max() <= FRAME_TOL:
             raise ValueError("tangent basis is not orthogonal to the normal")
 
 
@@ -95,7 +95,8 @@ def cholesky(g) -> np.ndarray:
     """Lower-triangular L with L @ L.T == g, for SPD input g (or a stack), from LAPACK.
 
     Raises NotPositiveDefinite where LAPACK fails, or where a pivot L_jj^2 is
-    at most PIVOT_REL_TOL times the largest diagonal entry of its matrix.
+    at most PIVOT_REL_TOL times the largest diagonal entry of its matrix;
+    the message names the first infinite entry where there is one.
     """
     g = _as_symmetric(g)
     if g.shape[-1] < 1:
@@ -103,13 +104,20 @@ def cholesky(g) -> np.ndarray:
     try:
         low = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("matrix is not positive definite") from None
+        raise NotPositiveDefinite(_fault(g, "matrix is not positive definite")) from None
     pivots = low.diagonal(0, -2, -1) ** 2
     floor = PIVOT_REL_TOL * g.diagonal(0, -2, -1).max(axis=-1)
     bad = _first(pivots, pivots <= floor[..., None])
     if bad is not None:
-        raise NotPositiveDefinite(f"pivot {bad:.3e} is at most {PIVOT_REL_TOL:g} x max diag")
+        raise NotPositiveDefinite(
+            _fault(g, f"pivot {bad:.3e} is at most {PIVOT_REL_TOL:g} x max diag"))
     return low
+
+
+def _fault(g, message: str) -> str:
+    """``message``, or the first non-finite entry of ``g`` where there is one."""
+    entry = _first(g, ~np.isfinite(g))
+    return message if entry is None else f"matrix has a non-finite entry {entry}"
 
 
 def complete_frame(normal) -> TangentFrame:

@@ -163,14 +163,15 @@ class TestVerifyCommand:
         assert abs(float(row[5]) - 1.0) <= 1e-10  # H column
 
     def test_csv_reuses_sampled_points(self, capsys, monkeypatch):
-        sample = ind.sample_indicatrix
+        # verify_claims samples through _sample_chunks, which sample_indicatrix wraps
+        sample, sample_chunks = ind.sample_indicatrix, ind._sample_chunks
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return sample(*args)
+            return sample_chunks(*args)
 
-        monkeypatch.setattr(ind, "sample_indicatrix", counted)
+        monkeypatch.setattr(ind, "_sample_chunks", counted)
         code = cli.main(["verify", "--metric", "pnorm:p=4", "--dim", "3",
                          "--samples", "9", "--format", "csv"])
         assert code == 0

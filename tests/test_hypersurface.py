@@ -62,6 +62,19 @@ class TestEvaluateDefining:
                                  [0.0, 0.0])
 
 
+    @pytest.mark.parametrize("gradient", [[np.nan, 0.0], [[1.0, 0.0], [np.nan, np.nan]]])
+    def test_nan_gradient_counts_as_vanishing(self, gradient):
+        gradient = np.array(gradient)
+        y = np.zeros(gradient.shape)
+        hessian = np.zeros(gradient.shape + (2,))
+        with pytest.raises(VanishingGradient, match=r"^\|grad f\| = nan$"):
+            hypersurface.defining_evaluation(y, np.zeros(gradient.shape[:-1]), gradient, hessian)
+        ev = hypersurface.DefiningEvaluation(y, 0.0, gradient, hessian, np.sqrt(
+            (gradient * gradient).sum(axis=-1)))
+        with pytest.raises(VanishingGradient, match=r"^\|grad f\| = nan$"):
+            fc.unit_normal(ev)
+
+
 class TestUnitNormal:
     def test_sphere_radius_vector(self):
         y = np.array([0.6, 0.0, 0.8])

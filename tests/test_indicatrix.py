@@ -292,6 +292,54 @@ class TestVerifyClaims:
                     for x, y in zip(short.reports[method], long.reports[method]):
                         assert report_bits(x) == report_bits(y), (method, dim, fam)
 
+    @pytest.mark.parametrize("method", ind.METHODS)
+    @pytest.mark.parametrize("dim, count, bad", [(3, 50, 25), (6, 137, 64)],
+                             ids=["n3", "n6-two-chunks"])
+    def test_report_failure_isolated_in_stacked_path(self, monkeypatch, method, dim, count,
+                                                     bad):
+        # one point raises in the report stage, mid-chunk: the bisection slices the
+        # stacks with the records, and the statistics merge its error record in order
+        fund = catalog(dim)["randers"]
+        target = fc.sample_indicatrix(fund, count, 8)[bad].y_adapted
+        evaluation = ind.defining_evaluation
+
+        def faulty(y, *args, **kwargs):
+            if (y == target).all(axis=-1).any():
+                raise fc.OffSurface("injected fault")
+            return evaluation(y, *args, **kwargs)
+
+        monkeypatch.setattr(ind, "defining_evaluation", faulty)
+        summary = fc.verify_claims(fund, count=count, seed=8, methods=(method,))
+        solo = []
+        for point in summary.points:
+            try:
+                solo.append(fc.adapted_report(fund, point, method=method))
+            except ind.POINT_ERRORS as exc:
+                solo.append(exc)
+        reports = summary.reports[method]
+        assert [index for index, item in enumerate(reports)
+                if isinstance(item, Exception)] == [bad]
+        assert type(reports[bad]) is type(solo[bad]) is fc.OffSurface
+        assert str(reports[bad]) == str(solo[bad]) == "injected fault"
+        stats = summary.stats[method]
+        assert {"index": bad, "error": "injected fault"} in stats.failures
+        assert repr(dataclasses.asdict(stats)) == \
+            repr(dataclasses.asdict(ind._aggregate(method, solo, 1e-8)))
+        for index, (x, y) in enumerate(zip(reports, solo)):
+            if index != bad:
+                assert report_bits(x) == report_bits(y), index
+
+    def test_record_lists_are_plain_lists(self):
+        fund = catalog(3)["randers"]
+        points = fc.sample_indicatrix(fund, 5, 1)
+        summary = fc.verify_claims(fund, count=5, seed=1)
+        for records, kind in [(points, fc.IndicatrixPoint), (summary.points, fc.IndicatrixPoint),
+                              (fc.adapted_reports(fund, points), fc.CurvatureReport),
+                              *((summary.reports[m], fc.CurvatureReport) for m in ind.METHODS)]:
+            assert type(records) is list
+            assert all(type(record) is kind for record in records)
+        assert all(type(p.metric) is fc.MetricTensor for p in points + summary.points)
+
     def test_value_calls_do_not_grow_with_points(self, monkeypatch):
         calls = []
         value = FundamentalFunction.value

@@ -87,6 +87,17 @@ class TestCholesky:
         message = str(info.value)
         assert message and "\n" not in message
 
+    @pytest.mark.parametrize("g, entry", [
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "inf"),        # LAPACK factors it
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "inf"),     # LAPACK fails
+        (np.array([[1.0, 0.0], [0.0, -np.inf]]), "-inf"),
+        (np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, np.inf]])]), "inf"),
+    ])
+    def test_infinite_entry_named(self, g, entry):
+        with pytest.raises(NotPositiveDefinite,
+                           match=f"^matrix has a non-finite entry {entry}$"):
+            fc.cholesky(g)
+
 
 ASYMMETRIC = np.array([[2.0, 1.0], [0.5, 2.0]])
 NAN_DIAGONAL = np.array([[np.nan, 0.0], [0.0, 1.0]])
@@ -117,6 +128,21 @@ class TestInputChecks:
     def test_trace_reduction_rejects_non_unit(self, normal):
         with pytest.raises(NotUnit, match="^vector is not unit length$"):
             fc.trace_reduction(np.broadcast_to(np.eye(2), normal.shape + (2,)), normal)
+
+    @pytest.mark.parametrize("normal", [np.array([np.nan, 0.0]),
+                                        np.array([[1.0, 0.0], [0.0, np.nan]])])
+    def test_nan_normal_rejected(self, normal):
+        # a NaN deviation from length 1 is never within UNIT_TOL
+        with pytest.raises(NotUnit, match="^vector is not unit length$"):
+            fc.trace_reduction(np.broadcast_to(np.eye(2), normal.shape + (2,)), normal)
+        with pytest.raises(NotUnit, match="^vector is not unit length$"):
+            fc.complete_frame(normal)
+
+    def test_nan_frame_rejected(self):
+        with pytest.raises(ValueError, match="^tangent basis is not orthonormal$"):
+            fc.TangentFrame(2, np.array([1.0, 0.0]), np.array([[np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="^tangent basis is not orthogonal to the normal$"):
+            fc.TangentFrame(2, np.array([np.nan, 0.0]), np.array([[0.0, 1.0]]))
 
     def test_unit_tolerance_boundary(self):
         # within UNIT_TOL of length 1 passes, on one vector and on a stack
