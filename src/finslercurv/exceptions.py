@@ -34,7 +34,7 @@ class InvalidParams(FinslerError):
 
 
 class RejectionOverflow(FinslerError):
-    """Rejection sampling exceeded its retry budget, or could accept no draw at all."""
+    """A sampling guard leaves no direction to draw at the given dimension."""
 
 
 class UsageError(FinslerError):

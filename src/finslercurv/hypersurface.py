@@ -102,7 +102,7 @@ def defining_evaluation(y, value, gradient, hessian,
                         on_surface: bool = False) -> DefiningEvaluation:
     """Check f and its derivatives at y (or at stacked rows) and bundle them."""
     if on_surface:
-        off = _first(np.abs(value), np.abs(value) > ON_SURFACE_TOL)
+        off = _first(np.abs(value), ~(np.abs(value) <= ON_SURFACE_TOL))  # NaN is off
         if off is not None:
             raise OffSurface(f"|f| = {off:.3e} exceeds {ON_SURFACE_TOL}")
     grad_norm = _norms(gradient)

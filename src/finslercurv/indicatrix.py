@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import ScalarField, fd_grad_hess, grad_hess
-from .exceptions import FinslerError, RejectionOverflow
+from .exceptions import DomainViolation, FinslerError, RejectionOverflow
 from .hypersurface import (
     defining_evaluation,
     mean_curvature_trace,
@@ -51,17 +51,18 @@ METHODS = ("hyperdual", "fd")
 # A chunk has a fixed cost (a one-point chunk takes 0.9 ms at n = 2 and
 # 1.0-1.9 ms at n = 6, each further point 0.002-0.05 ms), so
 # chunk_points(n) fills the budget: 1920 points at n = 2, 640 at 3, 320
-# at 4, 192 at 5. It never drops below 128 points, which take most of the
-# batching gain at every n (catalog sweep, interleaved in one process,
-# median of 5 rounds, 2-core Xeon, Python 3.11, numpy 2.4: 32/64/128/200
-# points per chunk -> 0.51/0.32/0.29/0.24 s, fresh-process peak RSS
-# 46.8/-/47.7/48.2 MB).
+# at 4, 192 at 5, 128 at 6, where 128-point chunks take most of the
+# batching gain (catalog sweep, interleaved in one process, median of 5
+# rounds, 2-core Xeon, Python 3.11, numpy 2.4: 32/64/128/200 points per
+# chunk -> 0.51/0.32/0.29/0.24 s, fresh-process peak RSS 46.8/-/47.7/48.2
+# MB). Above n = 6 it follows the budget down (91 points at n = 7, 3 at
+# n = 32), since the stacks grow like n^2 per point; never below one point.
 CHUNK_SLOTS = 7680
 
 
 def chunk_points(dim: int) -> int:
     """Points per batched evaluation at dimension ``dim``."""
-    return max(128, CHUNK_SLOTS // (2 * (dim - 1) * dim))
+    return max(1, CHUNK_SLOTS // (2 * (dim - 1) * dim))
 
 
 # What a single point can raise; such a point gets a failure record and
@@ -74,8 +75,8 @@ POINT_ERRORS = (FinslerError, ValueError, ArithmeticError)
 ORACLE_STEP = 1e-5
 ORACLE_GAP_BOUND = 1e-5
 
-# Draws are rejected with this multiple of the metric's guard margin so
-# that finite-difference stencils around accepted points never leave the
+# Draws are mapped inside this multiple of the metric's guard margin so
+# that finite-difference stencils around sampled points never leave the
 # evaluation guard.
 SAMPLING_MARGIN_FACTOR = 15.0
 
@@ -190,18 +191,17 @@ def indicatrix_point(fund: FundamentalFunction, y) -> IndicatrixPoint:
 def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[IndicatrixPoint]:
     """Deterministic seeded sample of indicatrix points.
 
-    Directions are standard Gaussian draws, one block per retry round: a
-    round draws ``(pending, dim)`` values from one generator keyed by
-    (seed, retry), and row i of the block goes to the i-th index, in
-    ascending order, whose draws so far were all rejected by the guard
-    domain. Each round is guarded in one call. The result for a given
-    (seed, count) does not depend on evaluation order, and shorter runs
-    are prefixes of longer ones: for a smaller count, every round's
-    pending indices are an ascending prefix of the longer run's, so they
-    receive the same rows. Metric Hessians and Cholesky factors are
-    computed chunk_points(dim) points at a time. A guard margin that no
-    direction can meet at this dimension raises RejectionOverflow before
-    the first draw.
+    Directions come from one (count, dim) standard Gaussian block g, drawn
+    from a generator keyed by (seed, 0); row i of the block gives the i-th
+    point, so shorter runs are prefixes of longer ones. A norm with a guard
+    margin maps each row into the cone min|y_i| >= c|y| of its sampling
+    guard (c = SAMPLING_MARGIN_FACTOR * guard_margin), by
+    y_i = sign(g_i) sqrt(c^2 + (1 - n c^2) g_i^2 / |g|^2), which reaches the
+    whole cone; other norms use g as it is. Every direction is checked
+    against the sampling guard, and one that misses it raises
+    DomainViolation; none is redrawn. A margin that leaves the cone empty at
+    this dimension raises RejectionOverflow before the draw. Metric Hessians
+    and Cholesky factors are computed chunk_points(dim) points at a time.
     """
     return [point for chunk in _sample_chunks(fund, count, seed) for point in chunk.points]
 
@@ -212,34 +212,28 @@ def _sample_chunks(fund: FundamentalFunction, count: int, seed: int) -> list[_Ch
         raise ValueError("count must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    if fund.guard_margin > 0.0:
-        margin = SAMPLING_MARGIN_FACTOR * fund.guard_margin
-        # min|y_i| <= |y| / sqrt(n), with equality only on the diagonals
-        if margin * math.sqrt(fund.dim) >= 1.0:
-            raise RejectionOverflow(
-                f"no direction passes the sampling guard min|y_i| >= {margin:g}*|y| "
-                f"at dim {fund.dim}; the largest dim it allows is {math.ceil(margin ** -2) - 1}")
-        draw_guard = replace(fund, guard_margin=margin).guard_rows
-    else:
-        draw_guard = fund.guard_rows
-    directions = np.empty((count, fund.dim))
-    pending = np.arange(count)  # indices whose draws so far were all rejected
-    rejections = 0
-    retry = 0
-    while pending.size:
-        draws = np.random.default_rng([seed, retry]).standard_normal((pending.size, fund.dim))
-        accepted = draw_guard(draws)
-        directions[pending[accepted]] = draws[accepted]
-        pending = pending[~accepted]
-        rejections += pending.size
-        if rejections > 1000 * count:
-            raise RejectionOverflow(
-                f"more than {1000 * count} rejected draws for {count} samples; "
-                "guard domain too aggressive for this dimension")
-        retry += 1
+    margin = SAMPLING_MARGIN_FACTOR * fund.guard_margin
+    # min|y_i| <= |y| / sqrt(n), with equality only on the diagonals
+    if margin * math.sqrt(fund.dim) >= 1.0:
+        raise RejectionOverflow(
+            f"no direction passes the sampling guard min|y_i| >= {margin:g}*|y| "
+            f"at dim {fund.dim}; the largest dim it allows is {math.ceil(margin ** -2) - 1}")
+    draws = np.random.default_rng([seed, 0]).standard_normal((count, fund.dim))
+    if margin > 0.0:
+        # y_i^2 = c^2 + (1 - n c^2) g_i^2 / |g|^2 sums to 1 with every |y_i| >= c; the map
+        # and the guard's |y| each round by a few n u, which the slack on c covers
+        floor = margin * (1.0 + 4 * fund.dim * np.finfo(float).eps)
+        share = draws * draws
+        share /= share.sum(axis=1, keepdims=True)
+        draws = np.copysign(np.sqrt(floor * floor + (1.0 - fund.dim * floor * floor) * share),
+                            draws)
+    missed = ~replace(fund, guard_margin=margin).guard_rows(draws)
+    if missed.any():
+        raise DomainViolation(f"draw {missed.argmax()} misses the sampling guard "
+                              f"min|y_i| >= {margin:g}*|y| at dim {fund.dim}")
     return _by_chunks(
         lambda rows: [_indicatrix_points(fund, normalize_to_indicatrix(fund, rows))],
-        directions, chunk_points(fund.dim), keep_errors=False)
+        draws, chunk_points(fund.dim), keep_errors=False)
 
 
 def adapted_field(fund: FundamentalFunction, point) -> ScalarField:

@@ -366,8 +366,9 @@ class TestOtherCommands:
     @pytest.mark.parametrize("argv, message", [
         (["curvature", "--metric", "euclidean", "--dim", "3", "--point", "0,0,0"],
          "point [0. 0. 0.] is outside the guarded domain"),
-        (["verify", "--metric", "pnorm:p=4", "--dim", "16"],
-         "more than 100000 rejected draws for 100 samples"),
+        (["sample", "--metric", "mroot:m=6", "--dim", "45", "--samples", "3"],
+         "no direction passes the sampling guard min|y_i| >= 0.15*|y| at dim 45; "
+         "the largest dim it allows is 44"),
         (["curvature", "--metric", "quadratic:A=1e308,1e308", "--dim", "2", "--point", "1,1"],
          "cannot scale point [1.0, 1.0] onto the indicatrix: F = inf"),
         (["verify", "--metric", "pnorm:p=4", "--dim", "45", "--samples", "5"],
@@ -381,6 +382,14 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"finslercurv: error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("dim", ["16", "24", "44"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_sum_verify_passes_at_high_dims(self, capsys, dim):
+        # draws land inside the sampling guard by construction, up to its last dim, 44
+        argv = ["verify", "--metric", "pnorm:p=4", "--dim", dim, "--samples", "20"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--metric", "euclidean", "--dim", "3", "--samples", "3", "--seed", "-1"],

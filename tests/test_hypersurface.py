@@ -56,6 +56,11 @@ class TestEvaluateDefining:
         with pytest.raises(OffSurface):
             fc.evaluate_defining(sphere_field(), [0.0, 0.0, 1.1], on_surface=True)
 
+    def test_nan_value_is_off_surface(self):
+        with pytest.raises(OffSurface, match=r"^\|f\| = nan exceeds 1e-08$"):
+            hypersurface.defining_evaluation(np.zeros(2), np.nan, np.array([1.0, 0.0]), np.eye(2),
+                                             on_surface=True)
+
     def test_vanishing_gradient(self):
         with pytest.raises(VanishingGradient):
             fc.evaluate_defining(fc.ScalarField(2, lambda z: z[0] * z[0] + z[1] * z[1]),

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import finslercurv as fc
 from finslercurv import autodiff, hypersurface
 from finslercurv import indicatrix as ind
 from finslercurv.autodiff import HyperDual
-from finslercurv.exceptions import RejectionOverflow
+from finslercurv.exceptions import DomainViolation, RejectionOverflow
 from finslercurv.metrics import FundamentalFunction, energy_field
 
 from conftest import catalog, seeded_randers
@@ -90,7 +91,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("family", ["pnorm", "mroot"])
     def test_prefix_stable_with_retries(self, family):
-        # the guarded families reject most draws at n = 6, so rounds retry;
+        # the guarded families map their draws into the sampling guard;
         # the longest run crosses a chunk boundary at each n
         for dim in (2, 6):
             fund = catalog(dim)[family]
@@ -102,9 +103,10 @@ class TestSampling:
                     assert np.array_equal(a.y, b.y)
                     assert np.array_equal(a.chol, b.chol)
 
-    def test_one_generator_per_retry_round(self, monkeypatch):
-        # per-draw generators would make at least `count` calls
-        fund = catalog(6)["pnorm"]
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_generator_per_call(self, monkeypatch, family):
+        # one (count, n) block keyed [seed, 0], whatever the family's guard margin
+        fund = catalog(6)[family]
         keys = []
         default_rng = np.random.default_rng
 
@@ -113,10 +115,33 @@ class TestSampling:
             return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counted)
-        count = ind.chunk_points(6) + 9
-        fc.sample_indicatrix(fund, count, 42)
-        assert 1 < len(keys) < count
-        assert keys == [[42, retry] for retry in range(len(keys))]
+        fc.sample_indicatrix(fund, ind.chunk_points(6) + 9, 42)
+        assert keys == [[42, 0]]
+
+    @pytest.mark.parametrize("dim", range(2, 45))
+    def test_zero_draws_land_inside_sampling_guard(self, monkeypatch, dim):
+        # a zero coordinate maps to the floor of the cone, where rounding decides the
+        # guard; the floor's slack of 4n eps keeps every such row inside it
+        fund = fc.pnorm(dim, 4)
+        rng = np.random.default_rng(dim)
+        draws = rng.standard_normal((400, dim))
+        draws[np.arange(dim) < rng.integers(1, dim, 400)[:, None]] = 0.0
+        draws[::4] = rng.choice([-1.0, 1.0], (100, dim))  # the cone's diagonals
+        monkeypatch.setattr(ind, "_by_chunks", lambda compute, rows, size, keep_errors: rows)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: SimpleNamespace(standard_normal=lambda shape: draws))
+        mapped = ind._sample_chunks(fund, 400, 0)
+        margin = ind.SAMPLING_MARGIN_FACTOR * fund.guard_margin
+        assert dataclasses.replace(fund, guard_margin=margin).guard_rows(mapped).all()
+
+    def test_draw_outside_sampling_guard_raises(self, monkeypatch):
+        # a non-finite draw fails the guard check with one line, and is not redrawn
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: SimpleNamespace(
+            standard_normal=lambda shape: np.full(shape, np.inf)))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DomainViolation,
+                match=r"^draw 0 misses the sampling guard min\|y_i\| >= 0.15\*\|y\| at dim 3$"):
+            fc.sample_indicatrix(fc.pnorm(3, 4), 5, 0)
 
     def test_rejection_overflow(self):
         # a guard excluding almost everything
@@ -364,14 +389,26 @@ class TestVerifyClaims:
         assert summary.passed
 
 
+class TestDimensionLadder:
+    @pytest.mark.parametrize("dim", [8, 12, 16, 24])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_passes(self, family, dim):
+        # 20 points cross a chunk boundary from n = 16 on (16 points, then 6 at n = 24)
+        fund = catalog(dim)[family]
+        summary = fc.verify_claims(fund, count=20, seed=dim, methods=("hyperdual",))
+        assert summary.passed, summary.stats["hyperdual"]
+        for point, rep in zip(summary.points, summary.reports["hyperdual"]):
+            assert report_bits(rep) == report_bits(fc.adapted_report(fund, point))
+
+
 class TestChunks:
     def test_chunk_points_by_dimension(self):
-        assert [ind.chunk_points(n) for n in range(2, 8)] == [1920, 640, 320, 192, 128, 128]
+        assert [ind.chunk_points(n) for n in range(2, 8)] == [1920, 640, 320, 192, 128, 91]
+        assert [ind.chunk_points(n) for n in (24, 32, 44, 62, 63, 100)] == [6, 3, 2, 1, 1, 1]
 
     def test_widest_stacked_array_within_budget(self, monkeypatch):
         # widest = stacked rows x derivative slots of one field evaluation;
-        # the budget is CHUNK_SLOTS, or the width of 128-point chunks where
-        # that is wider, and no dimension gets fewer than 128 points
+        # the budget is CHUNK_SLOTS at every dimension
         widths = []
 
         def measured(func, slots):
@@ -391,9 +428,7 @@ class TestChunks:
             count = ind.chunk_points(dim)
             points = fc.sample_indicatrix(fund, count + 1, 3)
             fc.adapted_reports(fund, points)
-            budget = max(ind.CHUNK_SLOTS, 128 * 2 * (dim - 1) * dim)
-            assert count >= 128
-            assert max(widths) == count * 2 * (dim - 1) * dim <= budget, dim
+            assert max(widths) == count * 2 * (dim - 1) * dim <= ind.CHUNK_SLOTS, dim
 
     def test_bad_point_isolated_by_bisection(self, monkeypatch):
         fund = catalog(3)["pnorm"]

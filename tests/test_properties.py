@@ -1,5 +1,7 @@
 """Property tests over randomly drawn norms and points, beyond the seeded catalog."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,19 @@ def test_power_sums_exactly_even(case):
     # the float route and the real part of the dual route agree
     assert np.array_equal(gradients(fc.ScalarField(fund.dim, fund.value), y)[0],
                           fc.eval_F(fund, y))
+
+
+@hypothesis.settings(max_examples=40)
+@hypothesis.given(family=st.sampled_from(sorted(POWER_SUMS)), dim=st.integers(2, 44),
+                  counts=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                  seed=st.integers(0, 2**32))
+def test_power_sum_draws_inside_sampling_guard_and_prefix_stable(family, dim, counts, seed):
+    fund = POWER_SUMS[family][0](dim, 4)
+    short, long = (np.array([p.y for p in fc.sample_indicatrix(fund, count, seed)])
+                   for count in sorted(counts))
+    sampling = replace(fund, guard_margin=ind.SAMPLING_MARGIN_FACTOR * fund.guard_margin)
+    assert sampling.guard_rows(long).all()
+    assert np.array_equal(short, long[:len(short)])
 
 
 # ---------------------------------------------------------------------------
