@@ -16,11 +16,15 @@ blocks (for a dual, one per pre-map matrix; else P = 1) and slots
 (n, P, 1, m) that broadcast over each block's rows, so one evaluation
 carries every coordinate, row and derivative direction in O(n) array
 operations. Dual, the first-order half, does the same for gradients.
+Addition, subtraction, negation and scaling act part by part, written once
+in Dual; HyperDual adds only the product and the lifts, which carry the
+eps1*eps2 term (Fike & Alonso, AIAA 2011-886).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -47,7 +51,7 @@ class Dual:
         self.d1 = d1
 
     def __repr__(self):
-        return f"Dual({self.real!r}, {self.d1!r})"
+        return f"{type(self).__name__}({', '.join(map(repr, self._parts()))})"
 
     def _parts(self):
         return self.real, self.d1
@@ -62,27 +66,27 @@ class Dual:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.real + other.real, self.d1 + other.d1)
+        if isinstance(other, type(self)):
+            return type(self)(*map(operator.add, self._parts(), other._parts()))
         if isinstance(other, _SCALARS):
-            return Dual(self.real + other, self.d1)
+            return type(self)(self.real + other, *self._parts()[1:])
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.real, -self.d1)
+        return type(self)(*map(operator.neg, self._parts()))
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.real - other.real, self.d1 - other.d1)
+        if isinstance(other, type(self)):
+            return type(self)(*map(operator.sub, self._parts(), other._parts()))
         if isinstance(other, _SCALARS):
-            return Dual(self.real - other, self.d1)
+            return type(self)(self.real - other, *self._parts()[1:])
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _SCALARS):
-            return Dual(other - self.real, -self.d1)
+            return type(self)(other - self.real, *map(operator.neg, self._parts()[1:]))
         return NotImplemented
 
     def __mul__(self, other):
@@ -90,7 +94,7 @@ class Dual:
             return Dual(self.real * other.real,
                         self.real * other.d1 + self.d1 * other.real)
         if isinstance(other, _SCALARS):
-            return Dual(self.real * other, self.d1 * other)
+            return type(self)(*[p * other for p in self._parts()])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -153,37 +157,8 @@ class HyperDual(Dual):
         self.d2 = d2
         self.d12 = d12
 
-    def __repr__(self):
-        return f"HyperDual({self.real!r}, {self.d1!r}, {self.d2!r}, {self.d12!r})"
-
     def _parts(self):
         return self.real, self.d1, self.d2, self.d12
-
-    def __add__(self, other):
-        if isinstance(other, HyperDual):
-            return HyperDual(self.real + other.real, self.d1 + other.d1,
-                             self.d2 + other.d2, self.d12 + other.d12)
-        if isinstance(other, _SCALARS):
-            return HyperDual(self.real + other, self.d1, self.d2, self.d12)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HyperDual(-self.real, -self.d1, -self.d2, -self.d12)
-
-    def __sub__(self, other):
-        if isinstance(other, HyperDual):
-            return HyperDual(self.real - other.real, self.d1 - other.d1,
-                             self.d2 - other.d2, self.d12 - other.d12)
-        if isinstance(other, _SCALARS):
-            return HyperDual(self.real - other, self.d1, self.d2, self.d12)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            return HyperDual(other - self.real, -self.d1, -self.d2, -self.d12)
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, HyperDual):
@@ -194,10 +169,7 @@ class HyperDual(Dual):
                 self.real * other.d12 + self.d12 * other.real
                 + self.d1 * other.d2 + self.d2 * other.d1,
             )
-        if isinstance(other, _SCALARS):
-            return HyperDual(self.real * other, self.d1 * other,
-                             self.d2 * other, self.d12 * other)
-        return NotImplemented
+        return super().__mul__(other)
 
     __rmul__ = __mul__
 
@@ -316,18 +288,13 @@ class _Seeds(NamedTuple):
     eye: np.ndarray     # gradient seeds: row k is the direction of coordinate k
     d1: np.ndarray      # Hessian seeds: row k is 1 where first == k
     d2: np.ndarray      # row k is 1 where second == k
-    stencil: np.ndarray  # fd offsets: 0, +e_i, -e_i, then +-e_i +-e_j per pair i < j
 
 
 @functools.cache
 def _seeds(n: int) -> _Seeds:
     first, second = np.triu_indices(n)
     eye = np.eye(n)
-    ei, ej = eye[first[first != second]], eye[second[first != second]]
-    pairs = np.stack([ei + ej, ei - ej, ej - ei, -ei - ej], axis=1).reshape(-1, n)
-    stencil = np.concatenate([np.zeros((1, n)), eye, -eye, pairs])
-    seeds = _Seeds(first, second, first == second, eye, eye[:, first], eye[:, second],
-                   stencil)
+    seeds = _Seeds(first, second, first == second, eye, eye[:, first], eye[:, second])
     for table in seeds:
         table.setflags(write=False)
     return seeds
@@ -389,6 +356,20 @@ def _guarded_rows(fld: ScalarField, y) -> np.ndarray:
     return w
 
 
+def _seeded(fld: ScalarField, y, kind, tables, parts) -> list:
+    """The parts at indices ``parts`` of fld's one evaluation at y's guarded rows w.
+
+    Coordinate i is kind(w_i, *[t[i] for t in tables]) for (n, P, 1, m) seed tables
+    (_seed_rows). Each part comes as (R, 1) (real) or (R, m); a constant field's slots are 0.
+    """
+    w = _guarded_rows(fld, y)
+    coords = w.T.copy().reshape(tables[0].shape[:2] + (-1, 1))  # (n, P, S, 1)
+    out = fld.func(kind(coords, *tables))
+    found = out._parts() if isinstance(out, Dual) else (out, 0.0, 0.0, 0.0)
+    return [np.full(coords.shape[1:-1] + (tables[0].shape[-1] if k else 1,), found[k],
+                    float).reshape(len(w), -1) for k in parts]
+
+
 def gradients(fld: ScalarField, y):
     """Value and gradient of ``fld`` via dual numbers (first order only).
 
@@ -398,19 +379,11 @@ def gradients(fld: ScalarField, y):
     slots carry derivatives in z. The gradient is bit-identical to the one
     grad_hess returns.
     """
-    w = _guarded_rows(fld, y)
     seed = _seed_rows(fld, _seeds(fld.dim).eye, slice(None))
-    coords = w.T.copy().reshape(seed.shape[:2] + (-1, 1))  # (n, P, S, 1)
-    out = fld.func(Dual(coords, seed))
-    if isinstance(out, Dual):
-        real, first = out.real, out.d1
-    else:  # constant field
-        real, first = out, 0.0
-    value = np.full(coords.shape[1:], real, float).reshape(-1)
-    grad = np.full(coords.shape[1:-1] + (fld.dim,), first, float).reshape(w.shape)
+    value, grad = _seeded(fld, y, Dual, [seed], (0, 1))
     if np.ndim(y) == 1:
-        return float(value[0]), grad[0]
-    return value.copy(), grad
+        return float(value[0, 0]), grad[0]
+    return value[:, 0].copy(), grad
 
 
 def grad_hess(fld: ScalarField, y):
@@ -424,19 +397,10 @@ def grad_hess(fld: ScalarField, y):
     returned Hessian is symmetric by construction (the (j, i) entry is the
     mirrored copy of the same number).
     """
-    w = _guarded_rows(fld, y)
     seeds = _seeds(fld.dim)
-    d1 = _seed_rows(fld, seeds.d1, seeds.first)
-    d2 = _seed_rows(fld, seeds.d2, seeds.second)
-    coords = w.T.copy().reshape(d1.shape[:2] + (-1, 1))  # (n, P, S, 1)
-    out = fld.func(HyperDual(coords, d1, d2))
-    if isinstance(out, HyperDual):
-        real, slope, mixed = out.real, out.d1, out.d12
-    else:  # constant field
-        real, slope, mixed = out, 0.0, 0.0
-    value, slope, mixed = (np.full(coords.shape[1:-1] + (size,), part, float).reshape(len(w), -1)
-                           for part, size in ((real, 1), (slope, seeds.first.size),
-                                              (mixed, seeds.first.size)))
+    value, slope, mixed = _seeded(fld, y, HyperDual, [
+        _seed_rows(fld, seeds.d1, seeds.first), _seed_rows(fld, seeds.d2, seeds.second)],
+        (0, 1, 3))
     grad = np.ascontiguousarray(slope[:, seeds.diagonal])  # C order, as for one row
     return _second_order(y, value[:, 0], grad, mixed)
 
@@ -452,8 +416,13 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     rows = point_rows(y, fld.dim)
     n = fld.dim
     seeds = _seeds(n)
+    # offsets 0, +e_i, -e_i, then +-e_i +-e_j per pair i < j; built here, not with the
+    # seeds, which the hyper-dual path reads: at n = 400 the stencil alone takes 1 GB
+    ei, ej = seeds.eye[seeds.first[~seeds.diagonal]], seeds.eye[seeds.second[~seeds.diagonal]]
+    pairs = np.stack([ei + ej, ei - ej, ej - ei, -ei - ej], axis=1).reshape(-1, n)
+    stencil = np.concatenate([np.zeros((1, n)), seeds.eye, -seeds.eye, pairs])
     step = h * np.maximum(1.0, np.linalg.norm(rows, axis=-1))[:, None]  # (R, 1)
-    w = _guarded_rows(fld, (rows[:, None, :] + step[:, :, None] * seeds.stencil).reshape(-1, n))
+    w = _guarded_rows(fld, (rows[:, None, :] + step[:, :, None] * stencil).reshape(-1, n))
     out = fld.func(w.T.copy()[:, None, :, None])
     f = np.full((1, len(w), 1), out, float).reshape(len(rows), -1)
     value, plus, minus, cross = np.split(f, [1, n + 1, 2 * n + 1], axis=1)

@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 a claim check failed, 2 usage, input
 or I/O error, including a package error raised outside a per-point
-failure record (a point outside the metric's domain, a sampler out of
-retries). Output is byte-identical for identical arguments, in every
-format.
+failure record (a point outside the metric's domain, a dimension its
+sampling guard leaves empty) and running out of memory. Output is
+byte-identical for identical arguments, in every format.
 Points are evaluated chunk_points(n) at a time on one thread (see
 indicatrix); a point that fails gets its own failure record and the
 rest of the batch goes on.
@@ -232,7 +232,7 @@ def _run_curvature(args):
         y = y / f_val  # normalize_to_indicatrix, with F already evaluated
     point = ind.indicatrix_point(fund, y)
     rep = ind.adapted_report(fund, point, method=args.method, fd_step=args.fd_step)
-    ok = ind._passes(rep, args.tol, ind.ORACLE_GAP_BOUND)
+    ok = ind._passes(rep, args.tol)
     record = {
         "metric": args.metric_spec, "dim": fund.dim, "point": [float(v) for v in y],
         "normalized": normalized, "method": args.method, "H": rep.H,
@@ -259,10 +259,10 @@ def _run_curvature(args):
 
 
 def _run_sample(args):
-    points = ind.sample_indicatrix(args.fund, args.samples, args.seed)
-    reports = ind.adapted_reports(args.fund, points, method=args.method,
-                                  fd_step=args.fd_step)
-    records = _point_records(points, reports, args.fund)
+    summary = ind.verify_claims(  # verify's pipeline, so its CSV is verify's
+        args.fund, count=args.samples, seed=args.seed, tol=args.tol,
+        methods=(args.method,), fd_step=args.fd_step, label=args.metric_spec)
+    records = _point_records(summary.points, summary.reports[args.method], args.fund)
 
     def csv():  # also the text format: the re-ingestible row format
         return _records_csv(records, args.dim)
@@ -318,10 +318,11 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    """Run the command line; a package error outside per-point isolation exits 2."""
+    """Run the command line; a MemoryError or an unisolated package error exits 2."""
     try:
         return run(parse_args(sys.argv[1:] if argv is None else argv))
-    except FinslerError as exc:
-        message = " ".join(str(exc).split())  # one line, even for a wrapped array
+    except (FinslerError, MemoryError) as exc:
+        # one line, even for a wrapped array; a bare MemoryError has no message
+        message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"finslercurv: error: {message}", file=sys.stderr)
         return 2

@@ -14,11 +14,12 @@ Points are processed chunk_points(n) at a time, a count sized so that
 the widest stacked array of a chunk stays within CHUNK_SLOTS: each stage
 of a report runs once per chunk on stacked rows, and the pull-back to
 adapted coordinates rides in the derivative seeds (ScalarField.pre), so
-it adds no dual arithmetic. A chunk in which any point raises is redone
-by halves down to the failing point, so every point gets exactly the
-outcome it would get alone. The per-point records are immutable
-NamedTuples, built a chunk at a time. In verify_claims a chunk's stacked
-arrays go from the sampler to the reports to the statistics unregathered.
+it adds no dual arithmetic. A report chunk in which a point raises is
+redone by halves down to that point, so every point gets exactly the
+outcome it would get alone; a sampler chunk raises its error. The
+per-point records are immutable NamedTuples, built a chunk at a time. In
+verify_claims a chunk's stacked arrays go from the sampler to the
+reports to the statistics unregathered.
 """
 
 from __future__ import annotations
@@ -122,32 +123,25 @@ def normalize_to_indicatrix(fund: FundamentalFunction, direction) -> np.ndarray:
     return d / np.asarray(eval_F(fund, d))[..., None]
 
 
-def _by_chunks(compute, items, size: int, keep_errors: bool) -> list:
-    """``compute`` over ``size`` items at a time, concatenated.
+def _per_chunk(compute, items, dim: int) -> list:
+    """``compute`` of each consecutive piece of chunk_points(dim) items, in order."""
+    size = chunk_points(dim)
+    return [compute(items[start:start + size]) for start in range(0, len(items), size)]
 
-    A chunk that raises one of POINT_ERRORS is redone by halves, left half
-    first, down to single items: with ``keep_errors`` a failing item's
-    exception takes its place in the result, otherwise the first failing
-    item's exception propagates. One failing item thus costs O(log size)
+
+def _isolating(compute, items) -> list:
+    """``compute(items)``, redone by halves, left first, where it raises one of POINT_ERRORS.
+
+    A failing item's exception takes its place in the result; it costs O(log len(items))
     calls, and every other item comes from a sub-batch that succeeded.
     """
-    out = []
-    for start in range(0, len(items), size):
-        out.extend(_isolating(compute, items[start:start + size], keep_errors))
-    return out
-
-
-def _isolating(compute, items, keep_errors: bool) -> list:
     try:
         return compute(items)
     except POINT_ERRORS as exc:
         if len(items) == 1:
-            if not keep_errors:
-                raise
             return [exc]
     half = len(items) // 2
-    return (_isolating(compute, items[:half], keep_errors)
-            + _isolating(compute, items[half:], keep_errors))
+    return _isolating(compute, items[:half]) + _isolating(compute, items[half:])
 
 
 class _Chunk:
@@ -231,9 +225,8 @@ def _sample_chunks(fund: FundamentalFunction, count: int, seed: int) -> list[_Ch
     if missed.any():
         raise DomainViolation(f"draw {missed.argmax()} misses the sampling guard "
                               f"min|y_i| >= {margin:g}*|y| at dim {fund.dim}")
-    return _by_chunks(
-        lambda rows: [_indicatrix_points(fund, normalize_to_indicatrix(fund, rows))],
-        draws, chunk_points(fund.dim), keep_errors=False)
+    return _per_chunk(lambda rows: _indicatrix_points(fund, normalize_to_indicatrix(fund, rows)),
+                      draws, fund.dim)
 
 
 def adapted_field(fund: FundamentalFunction, point) -> ScalarField:
@@ -311,6 +304,12 @@ def _chunk_reports(fund, chunk: _Chunk, method, fd_step) -> tuple[list, np.ndarr
         repeat(method), *rest))), columns
 
 
+def _report_pieces(fund, chunks, method: str, fd_step: float) -> list:
+    """_chunk_reports of each _Chunk via _isolating: (reports, columns), or a point's error."""
+    return [piece for chunk in chunks for piece in _isolating(
+        lambda part: [_chunk_reports(fund, part, method, fd_step)], chunk)]
+
+
 def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual",
                     fd_step: float = 1e-5) -> list:
     """adapted_report for every point, chunk_points(dim) points per batched evaluation.
@@ -320,9 +319,9 @@ def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual"
     alone; every other report is bit-identical to its adapted_report.
     """
     _check_method(method)
-    return _by_chunks(
-        lambda chunk: _chunk_reports(fund, _gathered(chunk), method, fd_step)[0],
-        list(points), chunk_points(fund.dim), keep_errors=True)
+    pieces = _report_pieces(fund, _per_chunk(_gathered, list(points), fund.dim), method, fd_step)
+    return [item for piece in pieces
+            for item in ([piece] if isinstance(piece, Exception) else piece[0])]
 
 
 def adapted_report(fund: FundamentalFunction, point: IndicatrixPoint,
@@ -393,7 +392,7 @@ def _statistics(method: str, pieces: list, tol: float) -> tuple[list, MethodStat
             np.fmax.reduce(columns, axis=1, initial=0.0).tolist()
         stats.mean_residual_H = float(np.mean(np.delete(columns[1], list(errors))
                                               if errors else columns[1]))
-    # the rule of _passes with no gap bound, on every column at once; NaN fails
+    # _passes's residual rule on every column at once (NaN fails); its gap rule is below
     for index in np.flatnonzero(~(columns[1:4] <= tol).all(axis=0)).tolist():
         stats.failures.append({"index": index, "error": str(errors[index])} if index in errors
                               else {"index": index, **dict(zip(CurvatureReport._fields[3:6],
@@ -403,10 +402,10 @@ def _statistics(method: str, pieces: list, tol: float) -> tuple[list, MethodStat
     return reports, stats
 
 
-def _passes(rep: CurvatureReport, tol: float, gap_bound: float = math.inf) -> bool:
-    """Residuals within ``tol`` (NaN fails) and oracle gap within ``gap_bound`` (NaN passes)."""
+def _passes(rep: CurvatureReport, tol: float) -> bool:
+    """Residuals within ``tol`` (NaN fails) and oracle gap within ORACLE_GAP_BOUND (NaN passes)."""
     return (rep.residual_H <= tol and rep.residual_trace <= tol and rep.residual_umbilic <= tol
-            and not rep.oracle_gap > gap_bound)
+            and not rep.oracle_gap > ORACLE_GAP_BOUND)
 
 
 def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
@@ -426,10 +425,8 @@ def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
     stats = {}
     all_reports = {}
     for method in methods:
-        all_reports[method], stats[method] = _statistics(method, [
-            piece for chunk in chunks for piece in _isolating(
-                lambda part: [_chunk_reports(fund, part, method, fd_step)], chunk,
-                keep_errors=True)], tol)
+        all_reports[method], stats[method] = _statistics(
+            method, _report_pieces(fund, chunks, method, fd_step), tol)
     return VerificationSummary(
         metric=label if label is not None else fund.describe(),
         dim=fund.dim,

@@ -95,6 +95,50 @@ class TestHyperDualArithmetic:
         assert abs(y.d12) <= 1e-15
 
 
+def dual_pair(kind, arrays, seed):
+    """Two ``kind`` numbers of random parts: floats, or real (n, P, S, 1) and slots (n, P, 1, m)."""
+    rng = np.random.default_rng(seed)
+    width = len(kind(0.0)._parts())
+    if not arrays:
+        return [kind(*rng.standard_normal(width).tolist()) for _ in range(2)]
+    shapes = [(3, 2, 4, 1)] + [(3, 2, 1, 5)] * (width - 1)
+    return [kind(*[rng.standard_normal(shape) for shape in shapes]) for _ in range(2)]
+
+
+def shaped_bits(parts):
+    return [(np.shape(part), np.asarray(part).tobytes()) for part in parts]
+
+
+class TestPartwiseOperations:
+    """The linear operations act part by part; only the product and lifts mix parts."""
+
+    @pytest.mark.parametrize("arrays", [False, True], ids=["floats", "arrays"])
+    @pytest.mark.parametrize("kind", [Dual, HyperDual])
+    @pytest.mark.parametrize("c", [0.37, np.float64(-2.5)])
+    def test_each_part_follows_its_formula(self, kind, arrays, c):
+        x, y = dual_pair(kind, arrays, 5)
+        (a, *u), (b, *v) = x._parts(), y._parts()
+        cases = [
+            (x + y, [a + b] + [p + q for p, q in zip(u, v)]),
+            (x - y, [a - b] + [p - q for p, q in zip(u, v)]),
+            (x + c, [a + c] + u),
+            (x - c, [a - c] + u),
+            (c + x, [c + a] + u),
+            (c - x, [c - a] + [-p for p in u]),
+            (-x, [-a] + [-p for p in u]),
+            (x * c, [a * c] + [p * c for p in u]),
+            (c * x, [c * a] + [c * p for p in u]),
+        ]
+        for out, want in cases:
+            assert type(out) is kind
+            assert shaped_bits(out._parts()) == shaped_bits(want)
+
+    def test_repr_lists_every_part(self):
+        assert repr(Dual(1.5, -2.0)) == "Dual(1.5, -2.0)"
+        assert repr(HyperDual(1.5, -2.0, 0.25, 3.0)) == "HyperDual(1.5, -2.0, 0.25, 3.0)"
+        assert repr(HyperDual(np.array([1.0]))) == "HyperDual(array([1.]), 0.0, 0.0, 0.0)"
+
+
 def ulp_distance(x, y):
     """Largest number of doubles between x and y, entry by entry; both of one sign."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))

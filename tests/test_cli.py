@@ -1,8 +1,11 @@
 import gc
 import json
+import os
 import string
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +299,17 @@ class TestOtherCommands:
                     zip(points, ind.adapted_reports(fund, points)))]
         assert out == json.dumps(rows, indent=2) + "\n"
 
+    @pytest.mark.parametrize("method", ind.METHODS)
+    def test_sample_csv_is_verify_csv(self, capsys, method):
+        # one pipeline; 300 points at n = 6 cross a chunk boundary
+        argv = ["--metric", "pnorm:p=4", "--dim", "6", "--samples", "300", "--seed", "5",
+                "--method", method, "--format", "csv"]
+        cli.main(["verify"] + argv)
+        verified = capsys.readouterr().out
+        assert cli.main(["sample"] + argv) == 0
+        assert capsys.readouterr().out == verified
+        assert verified.count("\n") == 301
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_sample_value_calls_do_not_grow_with_samples(self, capsys, monkeypatch, fmt):
         calls = []
@@ -382,6 +396,28 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"finslercurv: error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--metric", "euclidean", "--dim", "400", "--samples", "1"],
+        ["curvature", "--metric", "euclidean", "--dim", "400", "--point", ",".join(["1"] * 400)],
+        ["lemma-test", "--dim", "20000", "--trials", "1"],
+        ["verify", "--metric", "euclidean", "--dim", "3", "--samples", "100000000"],
+    ])
+    def test_out_of_memory_exits_two(self, argv):
+        # each input needs more than the child's 512 MB of address space; never run
+        # these without such a cap
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-m", "finslercurv", *argv], env=env,
+                                capture_output=True, text=True, preexec_fn=cap, timeout=120)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("finslercurv: error: Unable to allocate ")
+        assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("dim", ["16", "24", "44"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")

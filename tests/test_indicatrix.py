@@ -127,7 +127,7 @@ class TestSampling:
         draws = rng.standard_normal((400, dim))
         draws[np.arange(dim) < rng.integers(1, dim, 400)[:, None]] = 0.0
         draws[::4] = rng.choice([-1.0, 1.0], (100, dim))  # the cone's diagonals
-        monkeypatch.setattr(ind, "_by_chunks", lambda compute, rows, size, keep_errors: rows)
+        monkeypatch.setattr(ind, "_per_chunk", lambda compute, rows, dim: rows)
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: SimpleNamespace(standard_normal=lambda shape: draws))
         mapped = ind._sample_chunks(fund, 400, 0)
@@ -450,16 +450,14 @@ class TestChunks:
         assert [index for index, item in enumerate(batch)
                 if isinstance(item, Exception)] == [37]
 
-    def test_first_failure_propagates_without_keep_errors(self):
+    def test_failing_items_keep_their_places(self):
         def compute(items):
             for item in items:
                 if item % 5 == 3:
                     raise ValueError(f"bad {item}")
             return list(items)
 
-        with pytest.raises(ValueError, match="bad 3"):
-            ind._by_chunks(compute, list(range(16)), 8, keep_errors=False)
-        out = ind._by_chunks(compute, list(range(16)), 8, keep_errors=True)
+        out = ind._isolating(compute, list(range(16)))
         assert [str(x) if isinstance(x, Exception) else x for x in out] == \
             [f"bad {i}" if i % 5 == 3 else i for i in range(16)]
 
@@ -498,6 +496,12 @@ class TestMechanism:
         assert sorted(calls) == [2, 3, 4, 5]
         with pytest.raises(ValueError):
             autodiff._seeds(3).d1[0, 0] = 2.0  # shared tables are read-only
+
+    def test_seed_tables_hold_no_fd_stencil(self):
+        # the shared seeds are the hyper-dual tables; fd's 2n^2 + 1 offsets, twice
+        # their size and 1 GB at n = 400, are fd's alone
+        seeds = autodiff._seeds(40)
+        assert sum(table.nbytes for table in seeds) < 1.1 * (seeds.d1.nbytes + seeds.d2.nbytes)
 
     def test_one_eigensolve_per_report_chunk(self, monkeypatch):
         fund = catalog(3)["randers"]
