@@ -9,16 +9,18 @@ no truncation error.
 A central finite-difference engine lives alongside it and is used only as
 an independent cross-check; the two share only the field and its row layout.
 
-The coefficient slots of a HyperDual may hold floats or numpy arrays.
-Evaluations are vector-seeded: a field gets one argument with a leading
-coordinate axis, real part (n, P, S, 1) for R = P * S stacked rows in P
-blocks (for a dual, one per pre-map matrix; else P = 1) and slots
-(n, P, 1, m) that broadcast over each block's rows, so one evaluation
-carries every coordinate, row and derivative direction in O(n) array
-operations. Dual, the first-order half, does the same for gradients.
-Addition, subtraction, negation and scaling act part by part, written once
-in Dual; HyperDual adds only the product and the lifts, which carry the
-eps1*eps2 term (Fike & Alonso, AIAA 2011-886).
+The parts of a (hyper-)dual may hold floats or numpy arrays. Evaluations
+are vector-seeded: a field gets one argument with a leading coordinate
+axis, real part (n, P, S, 1) for R = P * S stacked rows in P blocks (for a
+dual, one per pre-map matrix; else P = 1) and gradient d1 (n, P, 1, n)
+broadcast over each block's rows, so one evaluation carries every
+coordinate, row and derivative direction in O(n) array operations.
+HyperDual adds d12 (n, P, 1, m), the mixed partials at the m = n(n+1)/2
+index pairs (first, second) of _seeds(n), and gathers d1 at first and at
+second for the two first partials of each pair: the gradient is stored
+once. Addition, subtraction, negation and scaling act part by part, written
+once in Dual; HyperDual adds only the product and the lifts, which carry
+the eps1*eps2 term (Fike & Alonso, AIAA 2011-886).
 """
 
 from __future__ import annotations
@@ -147,35 +149,37 @@ class Dual:
 
 
 class HyperDual(Dual):
-    """real + d1*eps1 + d2*eps2 + d12*eps1*eps2 with eps1^2 = eps2^2 = 0."""
+    """real + d1[first]*eps1 + d1[second]*eps2 + d12*eps1*eps2 with eps1^2 = eps2^2 = 0."""
 
-    __slots__ = ("d2", "d12")
+    __slots__ = ("d12",)
 
-    def __init__(self, real, d1=0.0, d2=0.0, d12=0.0):
+    def __init__(self, real, d1=0.0, d12=0.0):
         self.real = real
         self.d1 = d1
-        self.d2 = d2
         self.d12 = d12
 
     def _parts(self):
-        return self.real, self.d1, self.d2, self.d12
+        return self.real, self.d1, self.d12
+
+    def _pair(self):
+        """d1 at each index pair's first and second entry; a float d1 is its own pair."""
+        if not isinstance(self.d1, np.ndarray):
+            return self.d1, self.d1
+        seeds = _seeds(self.d1.shape[-1])
+        return self.d1[..., seeds.first], self.d1[..., seeds.second]
 
     def __mul__(self, other):
         if isinstance(other, HyperDual):
-            return HyperDual(
-                self.real * other.real,
-                self.real * other.d1 + self.d1 * other.real,
-                self.real * other.d2 + self.d2 * other.real,
-                self.real * other.d12 + self.d12 * other.real
-                + self.d1 * other.d2 + self.d2 * other.d1,
-            )
+            (a1, a2), (b1, b2) = self._pair(), other._pair()
+            return HyperDual(self.real * other.real, self.real * other.d1 + self.d1 * other.real,
+                             self.real * other.d12 + self.d12 * other.real + a1 * b2 + a2 * b1)
         return super().__mul__(other)
 
     __rmul__ = __mul__
 
     def _lift(self, f, df, d2f):
-        return HyperDual(f, df * self.d1, df * self.d2,
-                         df * self.d12 + d2f * self.d1 * self.d2)
+        a1, a2 = self._pair()
+        return HyperDual(f, df * self.d1, df * self.d12 + d2f * a1 * a2)
 
 
 def _abs_power(b, a, k: int):
@@ -285,16 +289,13 @@ class _Seeds(NamedTuple):
     first: np.ndarray   # index pairs (first[j], second[j]) of the upper triangle
     second: np.ndarray
     diagonal: np.ndarray  # first == second
-    eye: np.ndarray     # gradient seeds: row k is the direction of coordinate k
-    d1: np.ndarray      # Hessian seeds: row k is 1 where first == k
-    d2: np.ndarray      # row k is 1 where second == k
+    eye: np.ndarray     # seeds: row k is the direction of coordinate k
 
 
 @functools.cache
 def _seeds(n: int) -> _Seeds:
     first, second = np.triu_indices(n)
-    eye = np.eye(n)
-    seeds = _Seeds(first, second, first == second, eye, eye[:, first], eye[:, second])
+    seeds = _Seeds(first, second, first == second, np.eye(n))
     for table in seeds:
         table.setflags(write=False)
     return seeds
@@ -319,17 +320,16 @@ def _pulled_back(fld: ScalarField, rows: np.ndarray) -> np.ndarray:
     return w.reshape(rows.shape)
 
 
-def _seed_rows(fld: ScalarField, plain: np.ndarray, columns) -> np.ndarray:
+def _seed_rows(fld: ScalarField) -> np.ndarray:
     """Seed table whose entry i seeds coordinate i of the field's argument.
 
-    It is (n, P, 1, m): each of the P points' B[:, columns], broadcast over
-    the point's block of rows, or ``plain`` (n, m) as one block (P = 1)
-    without a pre-map.
+    It is (n, P, 1, n): row i of each of the P points' B, broadcast over the
+    point's block of rows, or the identity as one block (P = 1) without a
+    pre-map. Both derivative routes seed with it.
     """
-    if fld.pre is None:
-        return plain[:, None, None, :]
     n = fld.dim
-    return fld.pre.reshape(-1, n, n)[..., columns].transpose(1, 0, 2)[:, :, None, :]
+    pre = _seeds(n).eye if fld.pre is None else fld.pre
+    return pre.reshape(-1, n, n).transpose(1, 0, 2)[:, :, None, :]
 
 
 def point_rows(y, dim: int) -> np.ndarray:
@@ -356,18 +356,19 @@ def _guarded_rows(fld: ScalarField, y) -> np.ndarray:
     return w
 
 
-def _seeded(fld: ScalarField, y, kind, tables, parts) -> list:
-    """The parts at indices ``parts`` of fld's one evaluation at y's guarded rows w.
+def _seeded(fld: ScalarField, y, kind) -> list:
+    """One evaluation of fld at y's guarded rows w, coordinate i seeded as kind(w_i, seed[i]).
 
-    Coordinate i is kind(w_i, *[t[i] for t in tables]) for (n, P, 1, m) seed tables
-    (_seed_rows). Each part comes as (R, 1) (real) or (R, m); a constant field's slots are 0.
+    It returns kind's parts: real (R, 1), gradient (R, n) and a HyperDual's mixed part (R, m).
     """
+    seed = _seed_rows(fld)
     w = _guarded_rows(fld, y)
-    coords = w.T.copy().reshape(tables[0].shape[:2] + (-1, 1))  # (n, P, S, 1)
-    out = fld.func(kind(coords, *tables))
-    found = out._parts() if isinstance(out, Dual) else (out, 0.0, 0.0, 0.0)
-    return [np.full(coords.shape[1:-1] + (tables[0].shape[-1] if k else 1,), found[k],
-                    float).reshape(len(w), -1) for k in parts]
+    coords = w.T.copy().reshape(seed.shape[:2] + (-1, 1))  # (n, P, S, 1)
+    out = fld.func(kind(coords, seed))
+    parts = (out if isinstance(out, Dual) else kind(out))._parts()  # a constant's slots are 0
+    widths = (1, fld.dim, _seeds(fld.dim).first.size)
+    return [np.full(coords.shape[1:-1] + (width,), part, float).reshape(len(w), -1)
+            for part, width in zip(parts, widths)]
 
 
 def gradients(fld: ScalarField, y):
@@ -379,8 +380,7 @@ def gradients(fld: ScalarField, y):
     slots carry derivatives in z. The gradient is bit-identical to the one
     grad_hess returns.
     """
-    seed = _seed_rows(fld, _seeds(fld.dim).eye, slice(None))
-    value, grad = _seeded(fld, y, Dual, [seed], (0, 1))
+    value, grad = _seeded(fld, y, Dual)
     if np.ndim(y) == 1:
         return float(value[0, 0]), grad[0]
     return value[:, 0].copy(), grad
@@ -392,16 +392,11 @@ def grad_hess(fld: ScalarField, y):
     ``y`` is one point (n,), giving (float, (n,), (n, n)), or stacked rows
     (R, n), giving ((R,), (R, n), (R, n, n)). One field evaluation carries
     all rows and all n(n+1)/2 index pairs (first, second): coordinate i of
-    w = B z is seeded as HyperDual(w_i, B[i, first], B[i, second]), so the
-    mixed coefficient of a pair is exactly d2f/dz_first dz_second and the
-    returned Hessian is symmetric by construction (the (j, i) entry is the
-    mirrored copy of the same number).
+    w = B z is seeded as HyperDual(w_i, B[i, :]), as in gradients, so the d1
+    part is the gradient and d12 is exactly d2f/dz_first dz_second. The
+    Hessian is symmetric by construction (the (j, i) entry mirrors (i, j)).
     """
-    seeds = _seeds(fld.dim)
-    value, slope, mixed = _seeded(fld, y, HyperDual, [
-        _seed_rows(fld, seeds.d1, seeds.first), _seed_rows(fld, seeds.d2, seeds.second)],
-        (0, 1, 3))
-    grad = np.ascontiguousarray(slope[:, seeds.diagonal])  # C order, as for one row
+    value, grad, mixed = _seeded(fld, y, HyperDual)
     return _second_order(y, value[:, 0], grad, mixed)
 
 

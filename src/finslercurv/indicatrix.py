@@ -421,6 +421,10 @@ def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
     """
     if not tol > 0.0:  # also NaN
         raise ValueError("tol must be positive")
+    if isinstance(methods, str) or not methods:
+        raise ValueError(f"methods must be a non-empty sequence of {METHODS}")
+    for method in methods:
+        _check_method(method)
     chunks = _sample_chunks(fund, count, seed)
     stats = {}
     all_reports = {}

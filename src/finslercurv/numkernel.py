@@ -1,7 +1,7 @@
 """Dense linear algebra for small symmetric systems.
 
-Everything here works on plain numpy arrays of modest order (<= 16 in
-practice): Cholesky factorization, orthonormal frame completion around a
+Everything here works on plain numpy arrays of modest order (2 to 100 in
+the tests): Cholesky factorization, orthonormal frame completion around a
 unit normal, quadratic forms, and the normal-deflated trace used by the
 curvature formulas, with an explicit-projection route to the same trace.
 Cholesky factors come from LAPACK (np.linalg.cholesky), eigenvalues from

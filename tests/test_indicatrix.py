@@ -287,6 +287,12 @@ class TestVerifyClaims:
         with pytest.raises(ValueError, match="tol must be positive"):
             fc.verify_claims(fc.euclidean(3), count=2, tol=tol)
 
+    @pytest.mark.parametrize("methods", [("HyperDual",), (), "hyperdual"])
+    def test_bad_methods_rejected_before_sampling(self, methods, monkeypatch):
+        monkeypatch.setattr(ind, "_sample_chunks", None)  # would raise TypeError if reached
+        with pytest.raises(ValueError, match="method"):
+            fc.verify_claims(fc.euclidean(3), count=2, methods=methods)
+
     def test_impossible_tolerance_marks_failures(self):
         summary = fc.verify_claims(catalog(3)["randers"], count=20, seed=4, tol=1e-16,
                                    methods=("hyperdual",))
@@ -394,8 +400,18 @@ class TestDimensionLadder:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_passes(self, family, dim):
         # 20 points cross a chunk boundary from n = 16 on (16 points, then 6 at n = 24)
+        self.check(family, dim, 20)
+
+    @pytest.mark.parametrize("dim", [64, 100])
+    @pytest.mark.parametrize("family", ["euclidean", "quadratic", "randers"])
+    def test_high_dimensions(self, family, dim):
+        # the power sums sample only up to n = 44
+        self.check(family, dim, 3)
+
+    @staticmethod
+    def check(family, dim, count):
         fund = catalog(dim)[family]
-        summary = fc.verify_claims(fund, count=20, seed=dim, methods=("hyperdual",))
+        summary = fc.verify_claims(fund, count=count, seed=dim, methods=("hyperdual",))
         assert summary.passed, summary.stats["hyperdual"]
         for point, rep in zip(summary.points, summary.reports["hyperdual"]):
             assert report_bits(rep) == report_bits(fc.adapted_report(fund, point))
@@ -495,13 +511,14 @@ class TestMechanism:
                 fc.grad_hess(energy_field(fc.euclidean(dim)), np.ones((4, dim)))
         assert sorted(calls) == [2, 3, 4, 5]
         with pytest.raises(ValueError):
-            autodiff._seeds(3).d1[0, 0] = 2.0  # shared tables are read-only
+            autodiff._seeds(3).eye[0, 0] = 2.0  # shared tables are read-only
 
-    def test_seed_tables_hold_no_fd_stencil(self):
-        # the shared seeds are the hyper-dual tables; fd's 2n^2 + 1 offsets, twice
-        # their size and 1 GB at n = 400, are fd's alone
-        seeds = autodiff._seeds(40)
-        assert sum(table.nbytes for table in seeds) < 1.1 * (seeds.d1.nbytes + seeds.d2.nbytes)
+    def test_seed_tables_hold_quadratic_bytes(self):
+        # the identity and the m = n(n+1)/2 index pairs, O(n^2): no (n, m) table,
+        # and none of fd's 2n^2 + 1 stencil offsets (1 GB at n = 400)
+        n = 100
+        m = n * (n + 1) // 2
+        assert sum(table.nbytes for table in autodiff._seeds(n)) <= 8 * (n * n + 3 * m)
 
     def test_one_eigensolve_per_report_chunk(self, monkeypatch):
         fund = catalog(3)["randers"]
