@@ -21,6 +21,12 @@ second for the two first partials of each pair: the gradient is stored
 once. Addition, subtraction, negation and scaling act part by part, written
 once in Dual; HyperDual adds only the product and the lifts, which carry
 the eps1*eps2 term (Fike & Alonso, AIAA 2011-886).
+
+A square x * x forms each symmetric product once, with the general
+product's bits, and total, matvec and the pre-map add each coordinate's
+term into one running array. An n = 6 report chunk's 130-370 KB
+temporaries then reuse heap pages; with a new array per product and per
+addend, every chunk grew the heap and faulted its pages in again.
 """
 
 from __future__ import annotations
@@ -92,6 +98,9 @@ class Dual:
         return NotImplemented
 
     def __mul__(self, other):
+        if other is self:  # a square forms each symmetric product once
+            t = self.real * self.d1
+            return Dual(self.real * self.real, t + t)
         if isinstance(other, Dual):
             return Dual(self.real * other.real,
                         self.real * other.d1 + self.d1 * other.real)
@@ -169,6 +178,10 @@ class HyperDual(Dual):
         return self.d1[..., seeds.first], self.d1[..., seeds.second]
 
     def __mul__(self, other):
+        if other is self:  # the general product's sums with its equal products formed once
+            a1, a2 = self._pair()
+            t, u, w = self.real * self.d1, self.real * self.d12, a1 * a2
+            return HyperDual(self.real * self.real, t + t, ((u + u) + w) + w)
         if isinstance(other, HyperDual):
             (a1, a2), (b1, b2) = self._pair(), other._pair()
             return HyperDual(self.real * other.real, self.real * other.d1 + self.d1 * other.real,
@@ -201,20 +214,25 @@ def power(x, k: int):
     return _abs_power(np.abs(x), x, k)
 
 
+def _ascending(each):
+    """Iterator each's terms summed left to right in one fresh array; one term comes back copied."""
+    acc = next(each) + next(each, -0.0)  # x + -0.0 is x, bit for bit
+    for t in each:
+        acc += t
+    return acc
+
+
 def _coordinate_sum(terms, x):
     """Sum terms(part) over k ascending from the first term, on each part of field argument x.
 
     The real part's sum then gains +0.0, as a loop of dual sums from 0.0 does; that
     order gives a batch's row its point's own bits, unlike numpy's pairwise sum.
     """
-    def ascending(part):
-        each = terms(part)
-        return sum(each, next(each))
     if not isinstance(x, Dual):
-        return ascending(x) + 0.0
+        return _ascending(terms(x)) + 0.0
     real, *slots = x._parts()
-    return type(x)(ascending(real) + 0.0, *[
-        ascending(s if isinstance(s, np.ndarray) else np.full((len(real), 1, 1, 1), s))
+    return type(x)(_ascending(terms(real)) + 0.0, *[
+        _ascending(terms(s if isinstance(s, np.ndarray) else np.full((len(real), 1, 1, 1), s)))
         for s in slots])
 
 
@@ -314,9 +332,8 @@ def _pulled_back(fld: ScalarField, rows: np.ndarray) -> np.ndarray:
     if len(rows) % len(stack):
         raise DimensionMismatch(f"{len(rows)} rows do not split among {len(stack)} points")
     grouped = rows.reshape(len(stack), -1, n)
-    w = 0.0
-    for k in range(n):
-        w = w + stack[:, None, :, k] * grouped[:, :, k:k + 1]
+    w = _ascending(stack[:, None, :, k] * grouped[:, :, k:k + 1] for k in range(n))
+    w += 0.0  # a sum from the first term, then + 0.0, is the sum from +0.0
     return w.reshape(rows.shape)
 
 
@@ -367,7 +384,7 @@ def _seeded(fld: ScalarField, y, kind) -> list:
     out = fld.func(kind(coords, seed))
     parts = (out if isinstance(out, Dual) else kind(out))._parts()  # a constant's slots are 0
     widths = (1, fld.dim, _seeds(fld.dim).first.size)
-    return [np.full(coords.shape[1:-1] + (width,), part, float).reshape(len(w), -1)
+    return [np.full(coords.shape[1:-1] + (width,), part, float).reshape(len(w), width)
             for part, width in zip(parts, widths)]
 
 
@@ -400,14 +417,25 @@ def grad_hess(fld: ScalarField, y):
     return _second_order(y, value[:, 0], grad, mixed)
 
 
+def check_step(h) -> None:
+    """Raise ValueError unless every entry of h, a finite-difference step or one per row,
+    lies in [2**-511, 2**511]: finite and positive, with h * h a normal float."""
+    h = np.asarray(h, dtype=float)
+    if not ((h >= 2.0 ** -511) & (h <= 2.0 ** 511)).all():  # NaN fails
+        raise ValueError("finite-difference step must lie in [2**-511, 2**511], "
+                         "where h * h is a normal float")
+
+
 def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     """Central-difference value/gradient/Hessian, O(h^2) accurate, shaped as grad_hess's.
 
     Steps are h times max(1, ||z||) for each row z, taken before any pre-map;
     the 2n^2 + 1 stencil points of every row, grouped by row, go through one
     float evaluation of the field. Independent of the hyper-dual path, and
-    its oracle. Raises DomainViolation if any stencil point leaves the guard.
+    its oracle. Raises ValueError unless h passes check_step, and
+    DomainViolation if any stencil point leaves the guard.
     """
+    check_step(h)
     rows = point_rows(y, fld.dim)
     n = fld.dim
     seeds = _seeds(n)
@@ -419,9 +447,9 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     step = h * np.maximum(1.0, np.linalg.norm(rows, axis=-1))[:, None]  # (R, 1)
     w = _guarded_rows(fld, (rows[:, None, :] + step[:, :, None] * stencil).reshape(-1, n))
     out = fld.func(w.T.copy()[:, None, :, None])
-    f = np.full((1, len(w), 1), out, float).reshape(len(rows), -1)
+    f = np.full((1, len(w), 1), out, float).reshape(len(rows), len(stencil))
     value, plus, minus, cross = np.split(f, [1, n + 1, 2 * n + 1], axis=1)
-    pp, pm, mp, mm = np.moveaxis(cross.reshape(len(rows), -1, 4), -1, 0)  # signs of i, j
+    pp, pm, mp, mm = np.moveaxis(cross.reshape(len(rows), len(ei), 4), -1, 0)  # signs of i, j
     upper = np.empty((len(rows), seeds.first.size))
     upper[:, seeds.diagonal] = (plus - 2.0 * value + minus) / (step * step)
     upper[:, ~seeds.diagonal] = (pp - pm - mp + mm) / (4.0 * step * step)

@@ -28,6 +28,7 @@ import sys
 import numpy as np
 
 from . import indicatrix as ind
+from .autodiff import check_step
 from .exceptions import DomainViolation, FinslerError, UsageError
 from .metrics import eval_F, parse_metric_spec
 from .numkernel import projected_trace, trace_reduction
@@ -124,6 +125,10 @@ def parse_args(argv) -> argparse.Namespace:
         raise UsageError("--tol must be positive")
     if not 0.0 < args.fd_step <= 1e-2:
         raise UsageError("--fd-step must lie in (0, 1e-2]")
+    try:
+        check_step(args.fd_step)
+    except ValueError as exc:
+        raise UsageError(f"--fd-step: {exc}") from None
 
     if hasattr(args, "metric_spec"):
         # Validate the metric spec eagerly so bad specs fail with exit 2.

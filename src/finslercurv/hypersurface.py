@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ScalarField, grad_hess, gradients
+from .autodiff import ScalarField, check_step, grad_hess, gradients
 from .exceptions import DimensionMismatch, OffSurface, VanishingGradient
 from .numkernel import TangentFrame, _first, _norms, complete_frame, trace_reduction
 
@@ -172,10 +172,11 @@ def weingarten_oracle(fld: ScalarField, y, epsilon: int = 1, h: float = 1e-5,
     field itself. All 2(n-1) stencil points of every row of a (P, n) y go
     through one first-order field evaluation, grouped by row (the layout
     a per-row field such as indicatrix.adapted_field expects); ``h`` is
-    one step, or one per row. ``frame`` is the oriented tangent frame at
-    y when the caller already has it; otherwise it is completed from the
-    gradient at y.
+    one step, or one per row, and must pass check_step. ``frame`` is the
+    oriented tangent frame at y when the caller already has it; otherwise
+    it is completed from the gradient at y.
     """
+    check_step(h)
     y = np.asarray(y, dtype=float)
     if frame is None:
         frame = complete_frame(_unit(gradients(fld, y)[1], epsilon))

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import ScalarField, fd_grad_hess, grad_hess
+from .autodiff import ScalarField, check_step, fd_grad_hess, grad_hess
 from .exceptions import DomainViolation, FinslerError, RejectionOverflow
 from .hypersurface import (
     defining_evaluation,
@@ -421,6 +421,7 @@ def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
     """
     if not tol > 0.0:  # also NaN
         raise ValueError("tol must be positive")
+    check_step(fd_step)
     if isinstance(methods, str) or not methods:
         raise ValueError(f"methods must be a non-empty sequence of {METHODS}")
     for method in methods:

@@ -225,11 +225,15 @@ def check_homogeneity(fund: FundamentalFunction, y, lam: float):
     if not 0.0 < lam < np.inf:  # also NaN
         raise InvalidParams("lambda must be finite and positive")
     y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        scaled = lam * y
+    if not np.isfinite(scaled).all():
+        raise InvalidParams("lambda * y must be finite")
     f0 = eval_F(fund, y)
-    f1 = eval_F(fund, lam * y)
+    f1 = eval_F(fund, scaled)
     res_f = abs(f1 - lam * f0) / (lam * f0)
     g0 = metric_tensor(fund, y).entries
-    g1 = metric_tensor(fund, lam * y).entries
+    g1 = metric_tensor(fund, scaled).entries
     res_g = float(np.max(np.abs(g1 - g0)) / np.max(np.abs(g0)))
     return res_f, res_g
 

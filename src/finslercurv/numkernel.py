@@ -85,9 +85,10 @@ class TangentFrame:
                 or self.basis.shape != self.normal.shape[:-1] + (n - 1, n)):
             raise DimensionMismatch("frame arrays have inconsistent shapes")
         gram = self.basis @ self.basis.swapaxes(-1, -2)
-        if not np.abs(gram - np.eye(n - 1)).max() <= FRAME_TOL:  # NaN fails
+        # initial=0.0 lets an empty stack pass; max still propagates NaN, which fails
+        if not np.abs(gram - np.eye(n - 1)).max(initial=0.0) <= FRAME_TOL:
             raise ValueError("tangent basis is not orthonormal")
-        if not np.abs(self.basis @ self.normal[..., None]).max() <= FRAME_TOL:
+        if not np.abs(self.basis @ self.normal[..., None]).max(initial=0.0) <= FRAME_TOL:
             raise ValueError("tangent basis is not orthogonal to the normal")
 
 

@@ -318,6 +318,18 @@ class TestFiniteDifferences:
         err_fine = np.max(np.abs(fine - exact))
         assert 3.5 <= err_coarse / err_fine <= 4.5
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf, 1e-300, 2.0 ** -512, 2.0 ** 512])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_step_needs_a_normal_square(self, h):
+        fld = fc.ScalarField(2, lambda z: z[0] * z[1])
+        with pytest.raises(ValueError, match=r"^finite-difference step must lie in \[2\*\*-511"):
+            fc.fd_grad_hess(fld, [0.3, 0.7], h)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_smallest_step_passes(self):
+        fld = fc.ScalarField(2, lambda z: z[0] * z[1])
+        assert np.isfinite(fc.fd_grad_hess(fld, [0.3, 0.7], 2.0 ** -511)[2]).all()
+
     def test_stencil_guard(self):
         fld = fc.ScalarField(2, lambda z: z[0] * z[1],
                              guard=lambda y: np.all(y > 0.0, axis=-1))

@@ -377,6 +377,17 @@ class TestOtherCommands:
         assert len(argvs) == 1000
         assert retained < 256 * 1024
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--metric", "euclidean", "--dim", "3", "--samples", "2"],
+        ["curvature", "--metric", "euclidean", "--dim", "3", "--point", "1,2,3"],
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fd_step_without_a_normal_square_exits_two(self, capsys, argv):
+        assert cli.main(argv + ["--method", "fd", "--fd-step", "1e-300"]) == 2
+        assert capsys.readouterr().err == (
+            "finslercurv: error: --fd-step: finite-difference step must lie in "
+            "[2**-511, 2**511], where h * h is a normal float\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["curvature", "--metric", "euclidean", "--dim", "3", "--point", "0,0,0"],
          "point [0. 0. 0.] is outside the guarded domain"),

@@ -208,6 +208,14 @@ class TestMeanCurvatureTrace:
 
 
 class TestWeingartenOracle:
+    @pytest.mark.parametrize("h", [0.0, np.nan, -1e-5, 1e-300, np.array([1e-5, 0.0])])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_step_needs_a_normal_square(self, h):
+        # a per-row step fails if any of its entries does
+        y = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
+        with pytest.raises(ValueError, match="^finite-difference step must lie in"):
+            fc.weingarten_oracle(sphere_field(), y, 1, h)
+
     def test_unit_sphere_identity(self):
         oracle = fc.weingarten_oracle(sphere_field(), np.array([0.0, 0.0, 1.0]), 1, 1e-5)
         assert np.max(np.abs(oracle.entries - np.eye(2))) <= 1e-9
@@ -255,3 +263,62 @@ class TestWeingartenOracle:
                 lhs = cu @ oracle.entries @ cv
                 rhs = fc.quadratic_form(ev.hessian, u, v) / ev.grad_norm
                 assert abs(lhs - rhs) <= 1e-5
+
+
+def _empty_shapes(result):
+    """Shapes of every array in a result, a record or a tuple of them."""
+    if isinstance(result, tuple):
+        return tuple(_empty_shapes(r) for r in result)
+    fields = getattr(result, "__dataclass_fields__", None)
+    if fields is not None:
+        return {k: _empty_shapes(getattr(result, k)) for k in fields if k != "epsilon"}
+    return np.shape(result)
+
+
+N = 3
+EMPTY, EMPTY_MATRICES = np.zeros((0, N)), np.zeros((0, N, N))
+
+
+def _on_empty_stack(fld):
+    ev = fc.evaluate_defining(fld, EMPTY)
+    return ev, fc.unit_normal(ev)
+
+
+def _with_eigenvalues(shape):
+    return shape.entries, shape.principal_curvatures, shape.mean
+
+
+EMPTY_CASES = {  # name: (result on a (0, N) stack, its shapes)
+    "gradients": (lambda fund, fld: fc.gradients(fld, EMPTY), ((0,), (0, N))),
+    "grad_hess": (lambda fund, fld: fc.grad_hess(fld, EMPTY), ((0,), (0, N), (0, N, N))),
+    "fd_grad_hess": (lambda fund, fld: fc.fd_grad_hess(fld, EMPTY), ((0,), (0, N), (0, N, N))),
+    "metric_tensor": (lambda fund, fld: tuple(fc.metric_tensor(fund, EMPTY)),
+                      ((0, N), (0, N, N))),
+    "eval_F": (lambda fund, fld: fc.eval_F(fund, EMPTY), (0,)),
+    "normalize_to_indicatrix": (lambda fund, fld: fc.normalize_to_indicatrix(fund, EMPTY),
+                                (0, N)),
+    "evaluate_defining": (lambda fund, fld: _on_empty_stack(fld)[0], {
+        "at": (0, N), "value": (0,), "gradient": (0, N), "hessian": (0, N, N),
+        "grad_norm": (0,)}),
+    "unit_normal": (lambda fund, fld: _on_empty_stack(fld)[1],
+                    {"direction": (0, N), "grad_norm": (0,)}),
+    "mean_curvature_trace": (lambda fund, fld: fc.mean_curvature_trace(*_on_empty_stack(fld)),
+                             (0,)),
+    "shape_operator": (lambda fund, fld: _with_eigenvalues(
+        fc.shape_operator(*_on_empty_stack(fld))), ((0, N - 1, N - 1), (0, N - 1), (0,))),
+    "weingarten_oracle": (lambda fund, fld: _with_eigenvalues(fc.weingarten_oracle(fld, EMPTY)),
+                          ((0, N - 1, N - 1), (0, N - 1), (0,))),
+    "complete_frame": (lambda fund, fld: fc.complete_frame(EMPTY),
+                       {"ambient_dim": (), "normal": (0, N), "basis": (0, N - 1, N)}),
+    "cholesky": (lambda fund, fld: fc.cholesky(EMPTY_MATRICES), (0, N, N)),
+    "trace_reduction": (lambda fund, fld: fc.trace_reduction(EMPTY_MATRICES, EMPTY), (0,)),
+    "quadratic_form": (lambda fund, fld: fc.quadratic_form(EMPTY_MATRICES, EMPTY, EMPTY), (0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_CASES))
+@pytest.mark.filterwarnings("error")
+def test_empty_stacks_give_empty_results(name):
+    fund = fc.randers(2.0 * np.eye(N), np.array([0.1, 0.2, 0.0]))
+    compute, shapes = EMPTY_CASES[name]
+    assert _empty_shapes(compute(fund, fc.defining_field(fund))) == shapes

@@ -287,6 +287,13 @@ class TestVerifyClaims:
         with pytest.raises(ValueError, match="tol must be positive"):
             fc.verify_claims(fc.euclidean(3), count=2, tol=tol)
 
+    @pytest.mark.parametrize("fd_step", [0.0, float("nan"), -1e-5, 1e-300])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fd_step_checked_before_sampling(self, fd_step, monkeypatch):
+        monkeypatch.setattr(ind, "_sample_chunks", None)  # would raise TypeError if reached
+        with pytest.raises(ValueError, match="^finite-difference step must lie in"):
+            fc.verify_claims(fc.euclidean(3), count=2, methods=("fd",), fd_step=fd_step)
+
     @pytest.mark.parametrize("methods", [("HyperDual",), (), "hyperdual"])
     def test_bad_methods_rejected_before_sampling(self, methods, monkeypatch):
         monkeypatch.setattr(ind, "_sample_chunks", None)  # would raise TypeError if reached

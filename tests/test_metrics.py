@@ -211,6 +211,13 @@ class TestHomogeneity:
             with pytest.raises(InvalidParams, match="^lambda must be finite and positive$"):
                 fc.check_homogeneity(fc.euclidean(2), [1.0, 2.0], lam)
 
+    @pytest.mark.parametrize("lam", [1e308, 2.0 ** 1023])
+    def test_scaled_point_must_be_finite(self, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic warns
+            with pytest.raises(InvalidParams, match=r"^lambda \* y must be finite$"):
+                fc.check_homogeneity(fc.euclidean(3), [1.0, 2.0, 3.0], lam)
+
     @pytest.mark.parametrize("family", ("euclidean", "quadratic", "randers", "pnorm", "mroot"))
     def test_euler_identity(self, family):
         # gradient of F^2/2 dotted with y equals F^2

@@ -7,7 +7,8 @@ import pytest
 
 import finslercurv as fc
 from finslercurv import indicatrix as ind
-from finslercurv.autodiff import gradients
+from finslercurv import autodiff
+from finslercurv.autodiff import Dual, HyperDual, gradients
 from finslercurv.metrics import energy_field
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -156,3 +157,103 @@ def test_diagonal_randers_spec_is_exact(data, dim, strength):
     fund = fc.parse_metric_spec(spec, dim)
     assert np.array_equal(fund.matrix, np.diag(diag))
     assert np.array_equal(fund.drift, b)
+
+
+# ---------------------------------------------------------------------------
+# Dual engine: one product per square, one running array per coordinate sum
+# ---------------------------------------------------------------------------
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+
+
+def part_bits(parts):
+    return [(np.shape(part), np.asarray(part).tobytes()) for part in parts]
+
+
+@st.composite
+def float_arrays(draw, shape, zeros=False):
+    """Normal entries at scales 1e-3 to 1e3, where the order of a sum shows in its last bits,
+    with up to a fifth replaced by signed zeros, infinities, NaN or overflowing magnitudes;
+    all -0.0 if ``zeros``."""
+    if zeros:
+        return np.full(shape, -0.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.array(rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape))
+    special = rng.random(shape) < draw(st.sampled_from((0.0, 0.05, 0.2)))
+    a[special] = rng.choice(SPECIALS, special.sum())
+    return a
+
+
+@st.composite
+def field_arguments(draw, kinds=(Dual, HyperDual), floats=True):
+    """A (hyper-)dual of float parts (if ``floats``), or a field argument: real (n, P, S, 1),
+    d1 (n, P, 1, n), d12 (n, P, 1, n(n+1)/2), where a slot may be one float; kind None
+    gives the real array alone. One draw in four is all -0.0."""
+    kind = draw(st.sampled_from(kinds))
+    width = 1 if kind is None else len(kind(0.0)._parts())
+    zeros = draw(st.integers(0, 3)) == 0
+    if floats and draw(st.booleans()):
+        return kind(*draw(float_arrays((width,), zeros)).tolist())
+    n, blocks, rows = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    shapes = [(n, blocks, rows, 1), (n, blocks, 1, n), (n, blocks, 1, n * (n + 1) // 2)]
+    real, *slots = [draw(float_arrays(shape, zeros)) for shape in shapes[:width]]
+    if kind is None:
+        return real
+    return kind(real, *[float(draw(float_arrays((), zeros))) if draw(st.booleans()) else slot
+                        for slot in slots])
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(x=field_arguments())
+def test_square_matches_general_product(x):
+    with np.errstate(all="ignore"):
+        square, product = x * x, x * type(x)(*x._parts())
+    assert type(square) is type(x)
+    assert part_bits(square._parts()) == part_bits(product._parts())
+
+
+def left_to_right(terms):
+    """The reference order: the first term, then each further term added to the sum."""
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return acc
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(data=st.data(), x=field_arguments(kinds=(None, Dual, HyperDual), floats=False))
+def test_coordinate_sums_run_left_to_right_in_fresh_arrays(data, x):
+    parts = x._parts() if isinstance(x, Dual) else (x,)
+    n = len(parts[0])
+    a = data.draw(float_arrays((n, n)))
+    cols = a.T[:, :, None, None, None]
+    before = part_bits(parts)
+    with np.errstate(all="ignore"):
+        sums = [(autodiff.total(x), list),
+                (autodiff.matvec(a, x), lambda p: [p[k] * cols[k] for k in range(n)])]
+        for result, terms_of in sums:
+            want = [left_to_right(terms_of(p if isinstance(p, np.ndarray)
+                                           else np.full((n, 1, 1, 1), p))) for p in parts]
+            want[0] = want[0] + 0.0  # the real part's sum gains +0.0
+            got = result._parts() if isinstance(x, Dual) else (result,)
+            assert part_bits(got) == part_bits(want)
+            for part in got:
+                part[...] = 7.0
+            assert part_bits(parts) == before
+
+
+@hypothesis.given(data=st.data(), n=st.integers(1, 4), blocks=st.integers(1, 3),
+                  rows=st.integers(1, 3), zeros=st.booleans())
+def test_pre_map_runs_left_to_right_in_a_fresh_array(data, n, blocks, rows, zeros):
+    # -0.0 times +0.0: every term is -0.0, and only the sum from +0.0 is +0.0
+    pre = data.draw(float_arrays((blocks, n, n), zeros))
+    z = np.zeros((blocks * rows, n)) if zeros else data.draw(float_arrays((blocks * rows, n)))
+    grouped, before = z.reshape(blocks, rows, n), z.tobytes()
+    with np.errstate(all="ignore"):
+        got = autodiff._pulled_back(fc.ScalarField(n, lambda w: w[0], pre=pre), z)
+        # the sum from +0.0, as the pre-map's docstring states it
+        want = left_to_right([0.0] + [pre[:, None, :, k] * grouped[:, :, k:k + 1]
+                                      for k in range(n)])
+    assert part_bits([got]) == part_bits([want.reshape(z.shape)])
+    got[...] = 7.0
+    assert z.tobytes() == before
