@@ -38,7 +38,7 @@ print(f"{'metric':<12} {'dim':>3} {'max |H-1|':>10} {'max |tr-n|':>10} "
 for dim in (2, 3, 5):
     for name, fund in build_catalog(dim).items():
         summary = fc.verify_claims(fund, count=50, seed=314, tol=1e-8,
-                                   methods=("hyperdual",), label=name)
+                                   methods=("hyperdual",))
         s = summary.stats["hyperdual"]
         print(f"{name:<12} {dim:>3} {s.max_residual_H:>10.1e} "
               f"{s.max_residual_trace:>10.1e} {s.max_residual_umbilic:>10.1e} "

@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainViolation
+from .numkernel import _norms
 
 _SCALARS = (int, float, np.floating, np.ndarray)
 
@@ -319,6 +320,14 @@ def _seeds(n: int) -> _Seeds:
     return seeds
 
 
+def _per_point(rows: int, points: int) -> int:
+    """Rows in each of ``points`` equal consecutive blocks of ``rows`` rows; no points take none."""
+    per_point, extra = divmod(rows, points) if points else (0, rows)
+    if extra:
+        raise DimensionMismatch(f"{rows} rows do not split among {points} points")
+    return per_point
+
+
 def _pulled_back(fld: ScalarField, rows: np.ndarray) -> np.ndarray:
     """B z for every row z of ``rows`` (R, n).
 
@@ -329,9 +338,7 @@ def _pulled_back(fld: ScalarField, rows: np.ndarray) -> np.ndarray:
         return rows
     n = fld.dim
     stack = fld.pre.reshape(-1, n, n)
-    if len(rows) % len(stack):
-        raise DimensionMismatch(f"{len(rows)} rows do not split among {len(stack)} points")
-    grouped = rows.reshape(len(stack), -1, n)
+    grouped = rows.reshape(len(stack), _per_point(len(rows), len(stack)), n)
     w = _ascending(stack[:, None, :, k] * grouped[:, :, k:k + 1] for k in range(n))
     w += 0.0  # a sum from the first term, then + 0.0, is the sum from +0.0
     return w.reshape(rows.shape)
@@ -380,7 +387,7 @@ def _seeded(fld: ScalarField, y, kind) -> list:
     """
     seed = _seed_rows(fld)
     w = _guarded_rows(fld, y)
-    coords = w.T.copy().reshape(seed.shape[:2] + (-1, 1))  # (n, P, S, 1)
+    coords = w.T.copy().reshape(seed.shape[:2] + (_per_point(len(w), seed.shape[1]), 1))
     out = fld.func(kind(coords, seed))
     parts = (out if isinstance(out, Dual) else kind(out))._parts()  # a constant's slots are 0
     widths = (1, fld.dim, _seeds(fld.dim).first.size)
@@ -432,11 +439,17 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     Steps are h times max(1, ||z||) for each row z, taken before any pre-map;
     the 2n^2 + 1 stencil points of every row, grouped by row, go through one
     float evaluation of the field. Independent of the hyper-dual path, and
-    its oracle. Raises ValueError unless h passes check_step, and
-    DomainViolation if any stencil point leaves the guard.
+    its oracle. Raises ValueError, before any evaluation, unless h passes
+    check_step and every scaled step is below 2**511 (so 4 * step * step is
+    finite), and DomainViolation if any stencil point leaves the guard.
     """
     check_step(h)
     rows = point_rows(y, fld.dim)
+    with np.errstate(over="ignore"):  # a step that overflows fails the check below
+        step = h * np.maximum(1.0, _norms(rows))[:, None]  # (R, 1)
+    if (step >= 2.0 ** 511).any():  # a NaN step, from a NaN row, is left to the field
+        raise ValueError(f"scaled finite-difference step {step[step >= 2.0 ** 511][0]:.3e} "
+                         "must be below 2**511, where 4 * step * step is finite")
     n = fld.dim
     seeds = _seeds(n)
     # offsets 0, +e_i, -e_i, then +-e_i +-e_j per pair i < j; built here, not with the
@@ -444,7 +457,6 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     ei, ej = seeds.eye[seeds.first[~seeds.diagonal]], seeds.eye[seeds.second[~seeds.diagonal]]
     pairs = np.stack([ei + ej, ei - ej, ej - ei, -ei - ej], axis=1).reshape(-1, n)
     stencil = np.concatenate([np.zeros((1, n)), seeds.eye, -seeds.eye, pairs])
-    step = h * np.maximum(1.0, np.linalg.norm(rows, axis=-1))[:, None]  # (R, 1)
     w = _guarded_rows(fld, (rows[:, None, :] + step[:, :, None] * stencil).reshape(-1, n))
     out = fld.func(w.T.copy()[:, None, :, None])
     f = np.full((1, len(w), 1), out, float).reshape(len(rows), len(stencil))

@@ -184,7 +184,7 @@ def _records_csv(records, dim: int) -> str:
 def _run_verify(args):
     summary = ind.verify_claims(
         args.fund, count=args.samples, seed=args.seed, tol=args.tol,
-        methods=(args.method,), fd_step=args.fd_step, label=args.metric_spec)
+        methods=(args.method,), fd_step=args.fd_step)
     stats = summary.stats[args.method]
     record = {
         "metric": args.metric_spec, "dim": summary.dim, "samples": summary.count,
@@ -237,7 +237,7 @@ def _run_curvature(args):
         y = y / f_val  # normalize_to_indicatrix, with F already evaluated
     point = ind.indicatrix_point(fund, y)
     rep = ind.adapted_report(fund, point, method=args.method, fd_step=args.fd_step)
-    ok = ind._passes(rep, args.tol)
+    ok = ind._aggregate(args.method, [rep], args.tol).passed  # verify's rule
     record = {
         "metric": args.metric_spec, "dim": fund.dim, "point": [float(v) for v in y],
         "normalized": normalized, "method": args.method, "H": rep.H,
@@ -266,7 +266,7 @@ def _run_curvature(args):
 def _run_sample(args):
     summary = ind.verify_claims(  # verify's pipeline, so its CSV is verify's
         args.fund, count=args.samples, seed=args.seed, tol=args.tol,
-        methods=(args.method,), fd_step=args.fd_step, label=args.metric_spec)
+        methods=(args.method,), fd_step=args.fd_step)
     records = _point_records(summary.points, summary.reports[args.method], args.fund)
 
     def csv():  # also the text format: the re-ingestible row format

@@ -9,10 +9,10 @@ normal-deflated trace. A finite-difference Weingarten construction
 for the same matrix. Every stage takes one point or a (P, n) stack of
 points, and a stack gives each point the numbers it would get alone.
 
-Sign convention: SIGN_CONVENTION = +1 selects the orientation in which
-the unit sphere with outward normal has every principal curvature +1
-(so convex surfaces seen from outside are positively curved). Flipping
-eps negates the shape operator and the mean curvature.
+Sign convention: the shape operator is the derivative of the unit normal
+itself, so the unit sphere with outward normal (eps = +1) has every
+principal curvature +1 (convex surfaces seen from outside are positively
+curved). Flipping eps negates the shape operator and the mean curvature.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import numpy as np
 from .autodiff import ScalarField, check_step, grad_hess, gradients
 from .exceptions import DimensionMismatch, OffSurface, VanishingGradient
 from .numkernel import TangentFrame, _first, _norms, complete_frame, trace_reduction
-
-# +1: outward-oriented unit sphere has principal curvatures +1.
-SIGN_CONVENTION = 1.0
 
 # Numerical floor below which the gradient counts as vanishing.
 GRADIENT_FLOOR = 1e-10
@@ -130,7 +127,7 @@ def shape_operator(ev: DefiningEvaluation, normal: OrientedNormal,
                    frame: TangentFrame | None = None) -> ShapeOperatorMatrix:
     """Shape-operator matrix from the projected Hessian of f.
 
-    Entry (a, b) is SIGN_CONVENTION * eps / |grad f| times
+    Entry (a, b) is eps / |grad f| times
     X_a . (Hess f) X_b; the lower triangle mirrors the upper one, so the
     matrix is exactly symmetric. ``frame`` defaults to complete_frame of
     the normal direction; passing one explicitly lets both orientations
@@ -140,7 +137,7 @@ def shape_operator(ev: DefiningEvaluation, normal: OrientedNormal,
         raise DimensionMismatch("ambient dimension must be >= 2")
     if frame is None:
         frame = complete_frame(normal.direction)
-    coef = SIGN_CONVENTION * normal.epsilon / np.asarray(normal.grad_norm)[..., None, None]
+    coef = normal.epsilon / np.asarray(normal.grad_norm)[..., None, None]
     basis = frame.basis
     full = coef * (basis @ ev.hessian @ basis.swapaxes(-1, -2))
     entries = full + 0.0  # a copy in which -0.0 reads +0.0, in both triangles
@@ -152,12 +149,12 @@ def shape_operator(ev: DefiningEvaluation, normal: OrientedNormal,
 def mean_curvature_trace(ev: DefiningEvaluation, normal: OrientedNormal):
     """Mean curvature via the normal-deflated Hessian trace.
 
-    SIGN_CONVENTION * eps / ((n-1) |grad f|) * (tr Hess f - N Hess f N^T).
+    eps / ((n-1) |grad f|) * (tr Hess f - N Hess f N^T).
     Agrees with shape_operator(...).mean to rounding; the two routes share
     only the Hessian. A float, or one value per stacked row.
     """
     n = ev.at.shape[-1]
-    coef = SIGN_CONVENTION * normal.epsilon / ((n - 1) * normal.grad_norm)
+    coef = normal.epsilon / ((n - 1) * normal.grad_norm)
     return coef * trace_reduction(ev.hessian, normal.direction)
 
 
@@ -187,6 +184,6 @@ def weingarten_oracle(fld: ScalarField, y, epsilon: int = 1, h: float = 1e-5,
     _, grads = gradients(fld, stencil.reshape(-1, n))
     normals = _unit(grads, epsilon).reshape(stencil.shape)
     derivs = (normals[..., 0, :] - normals[..., 1, :]) / (2.0 * step[..., None, None])
-    raw = SIGN_CONVENTION * frame.basis @ derivs.swapaxes(-1, -2)  # X_a . D_b N
+    raw = frame.basis @ derivs.swapaxes(-1, -2)  # X_a . D_b N
     entries = 0.5 * (raw + raw.swapaxes(-1, -2))
     return ShapeOperatorMatrix(frame, entries)

@@ -304,10 +304,18 @@ def _chunk_reports(fund, chunk: _Chunk, method, fd_step) -> tuple[list, np.ndarr
         repeat(method), *rest))), columns
 
 
-def _report_pieces(fund, chunks, method: str, fd_step: float) -> list:
-    """_chunk_reports of each _Chunk via _isolating: (reports, columns), or a point's error."""
-    return [piece for chunk in chunks for piece in _isolating(
-        lambda part: [_chunk_reports(fund, part, method, fd_step)], chunk)]
+def _reports(fund, chunks, method: str, fd_step: float) -> tuple[list, np.ndarray]:
+    """_chunk_reports of each _Chunk via _isolating: the reports in order, the exception of
+    each point that raised in its place, and their (8, N) columns, NaN where one raised."""
+    reports, columns = [], [np.empty((8, 0))]
+    for chunk in chunks:
+        for piece in _isolating(lambda part: [_chunk_reports(fund, part, method, fd_step)],
+                                chunk):
+            if isinstance(piece, Exception):
+                piece = [piece], np.full((8, 1), math.nan)
+            reports += piece[0]
+            columns.append(piece[1])
+    return reports, np.concatenate(columns, axis=1)
 
 
 def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual",
@@ -319,9 +327,7 @@ def adapted_reports(fund: FundamentalFunction, points, method: str = "hyperdual"
     alone; every other report is bit-identical to its adapted_report.
     """
     _check_method(method)
-    pieces = _report_pieces(fund, _per_chunk(_gathered, list(points), fund.dim), method, fd_step)
-    return [item for piece in pieces
-            for item in ([piece] if isinstance(piece, Exception) else piece[0])]
+    return _reports(fund, _per_chunk(_gathered, list(points), fund.dim), method, fd_step)[0]
 
 
 def adapted_report(fund: FundamentalFunction, point: IndicatrixPoint,
@@ -364,53 +370,38 @@ class VerificationSummary:
 
 def _aggregate(method: str, reports: list, tol: float) -> MethodStats:
     """_statistics over a list of reports, an exception in place of each that raised."""
-    return _statistics(method, [item if isinstance(item, Exception) else
-                                ([item], np.array([[item.H, *item[3:6], *item[7:]]]).T)
-                                for item in reports], tol)[1]
+    columns = np.array([[math.nan] * 8 if isinstance(item, Exception) else
+                        [item.H, *item[3:6], *item[7:]] for item in reports]).reshape(-1, 8).T
+    return _statistics(method, reports, columns, tol)
 
 
-def _statistics(method: str, pieces: list, tol: float) -> tuple[list, MethodStats]:
-    """One method's reports, and their residual maxima, failure records and pass rule.
-
-    ``pieces`` are in index order: each is a (reports, columns) pair as
-    _chunk_reports returns it, or the exception of one report that raised.
-    A batch passes when no report raised, every report's residuals are
-    within ``tol`` and the largest oracle gap is within ORACLE_GAP_BOUND.
-    """
-    reports, columns, errors = [], [np.empty((8, 0))], {}
-    for piece in pieces:
-        if isinstance(piece, Exception):  # NaN columns: the maxima skip them, the rule fails them
-            errors[len(reports)] = piece
-            piece = [piece], np.full((8, 1), math.nan)
-        reports += piece[0]
-        columns.append(piece[1])
-    columns = np.concatenate(columns, axis=1)
+def _statistics(method: str, reports: list, columns: np.ndarray, tol: float) -> MethodStats:
+    """The one verdict rule: residual maxima, failure records and pass, for ``reports``
+    and ``columns`` as _reports returns them. A batch passes when no report raised, every
+    residual_H, residual_trace and residual_umbilic is within ``tol`` (NaN fails) and the
+    largest oracle gap is within ORACLE_GAP_BOUND (a NaN gap is skipped)."""
+    failing = np.flatnonzero(~(columns[1:4] <= tol).all(axis=0)).tolist()  # NaN fails
+    # a report that raised has NaN columns, so it is among the failing ones
+    errors = {index: reports[index] for index in failing
+              if isinstance(reports[index], Exception)}
     stats = MethodStats(method, count=len(reports) - len(errors))
     if stats.count:  # like a running max from 0.0: NaN is skipped
         _, stats.max_residual_H, stats.max_residual_trace, stats.max_residual_umbilic, \
             stats.max_oracle_gap, stats.max_path_gap, _, _ = \
             np.fmax.reduce(columns, axis=1, initial=0.0).tolist()
-        stats.mean_residual_H = float(np.mean(np.delete(columns[1], list(errors))
-                                              if errors else columns[1]))
-    # _passes's residual rule on every column at once (NaN fails); its gap rule is below
-    for index in np.flatnonzero(~(columns[1:4] <= tol).all(axis=0)).tolist():
-        stats.failures.append({"index": index, "error": str(errors[index])} if index in errors
-                              else {"index": index, **dict(zip(CurvatureReport._fields[3:6],
-                                                               columns[1:4, index].tolist()))})
-    stats.passed = (not stats.failures
-                    and stats.max_oracle_gap <= ORACLE_GAP_BOUND)
-    return reports, stats
-
-
-def _passes(rep: CurvatureReport, tol: float) -> bool:
-    """Residuals within ``tol`` (NaN fails) and oracle gap within ORACLE_GAP_BOUND (NaN passes)."""
-    return (rep.residual_H <= tol and rep.residual_trace <= tol and rep.residual_umbilic <= tol
-            and not rep.oracle_gap > ORACLE_GAP_BOUND)
+        kept = np.delete(columns[1], list(errors)) if errors else columns[1]
+        stats.mean_residual_H = float(np.add.reduce(kept)) / stats.count  # np.mean's arithmetic
+    stats.failures = [{"index": index, "error": str(errors[index])} if index in errors
+                      else {"index": index, **dict(zip(CurvatureReport._fields[3:6],
+                                                       columns[1:4, index].tolist()))}
+                      for index in failing]
+    stats.passed = not stats.failures and stats.max_oracle_gap <= ORACLE_GAP_BOUND
+    return stats
 
 
 def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
-                  tol: float = 1e-8, methods=METHODS, fd_step: float = 1e-5,
-                  label: str | None = None) -> VerificationSummary:
+                  tol: float = 1e-8, methods=METHODS,
+                  fd_step: float = 1e-5) -> VerificationSummary:
     """Sample the indicatrix and verify the constant-curvature claims.
 
     Sampling and reports run in chunks of chunk_points(dim) points, each stage
@@ -427,13 +418,12 @@ def verify_claims(fund: FundamentalFunction, count: int = 100, seed: int = 42,
     for method in methods:
         _check_method(method)
     chunks = _sample_chunks(fund, count, seed)
-    stats = {}
-    all_reports = {}
+    stats, all_reports = {}, {}
     for method in methods:
-        all_reports[method], stats[method] = _statistics(
-            method, _report_pieces(fund, chunks, method, fd_step), tol)
+        all_reports[method], columns = _reports(fund, chunks, method, fd_step)
+        stats[method] = _statistics(method, all_reports[method], columns, tol)
     return VerificationSummary(
-        metric=label if label is not None else fund.describe(),
+        metric=fund.describe(),
         dim=fund.dim,
         count=count,
         seed=seed,

@@ -325,6 +325,26 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError, match=r"^finite-difference step must lie in \[2\*\*-511"):
             fc.fd_grad_hess(fld, [0.3, 0.7], h)
 
+    @pytest.mark.parametrize("field, y, h", [
+        (lambda z: z[0] * z[1], [0.3, 0.7], 2.0 ** 511),     # 4 * step * step overflows
+        (lambda z: z[0] + 2.0 * z[1], [1e200, 1.0], 1e-5),  # step * step overflows
+    ], ids=["largest-h", "huge-point"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaled_step_checked_before_evaluation(self, field, y, h):
+        def evaluated(z):
+            raise AssertionError("the field was evaluated")
+
+        with pytest.raises(ValueError, match=r"^scaled finite-difference step .* below 2\*\*511"):
+            fc.fd_grad_hess(fc.ScalarField(2, evaluated), y, h)
+        with pytest.raises(ValueError, match=r"^scaled finite-difference step"):
+            fc.fd_grad_hess(fc.ScalarField(2, field), y, h)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_scaled_step_passes(self):
+        fld = fc.ScalarField(2, lambda z: z[0] * z[1])
+        h = float(np.nextafter(2.0 ** 511, 0.0))
+        assert np.array_equal(fc.fd_grad_hess(fld, [0.3, 0.7], h)[2], [[0.0, 1.0], [1.0, 0.0]])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_smallest_step_passes(self):
         fld = fc.ScalarField(2, lambda z: z[0] * z[1])

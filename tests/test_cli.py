@@ -275,6 +275,31 @@ class TestOtherCommands:
         assert json.loads(capsys.readouterr().out)["pass"] is want
         assert code == (0 if want else 1)
 
+    def test_failed_point_records(self, capsys, monkeypatch):
+        # one point raises in the report stage: sample's JSON record gives its error and
+        # no H, and verify's CSV row reads nan for H and residual_H
+        fund, bad = parse_metric_spec("pnorm:p=4", 3), 3
+        point = ind.sample_indicatrix(fund, 7, 42)[bad]
+        evaluation = ind.defining_evaluation
+
+        def faulty(y, *args, **kwargs):
+            if (y == point.y_adapted).all(axis=-1).any():
+                raise ind.DomainViolation("injected fault")
+            return evaluation(y, *args, **kwargs)
+
+        monkeypatch.setattr(ind, "defining_evaluation", faulty)
+        argv = ["--metric", "pnorm:p=4", "--dim", "3", "--samples", "7"]
+        assert cli.main(["sample", *argv, "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert records[bad] == {"index": bad, "y": point.y.tolist(), "F": eval_F(fund, point.y),
+                                "error": "injected fault"}
+        assert all("H" in record and "error" not in record
+                   for index, record in enumerate(records) if index != bad)
+        assert cli.main(["verify", *argv, "--format", "csv"]) == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [index for index, row in enumerate(rows) if row.endswith(",nan,nan")] == [bad]
+        assert rows[bad].startswith(f"{bad},")
+
     def test_sample_csv(self, capsys):
         code = cli.main(["sample", "--metric", "pnorm:p=4", "--dim", "3",
                          "--samples", "7", "--format", "csv"])
@@ -399,6 +424,9 @@ class TestOtherCommands:
         (["verify", "--metric", "pnorm:p=4", "--dim", "45", "--samples", "5"],
          "no direction passes the sampling guard min|y_i| >= 0.15*|y| at dim 45; "
          "the largest dim it allows is 44"),
+        # the guard is checked again after the power-of-two rescale
+        (["curvature", "--metric", "pnorm:p=4", "--dim", "3", "--point", "1e300,1e-300,1"],
+         "point [1.e+300 1.e-300 1.e+000] is outside the guarded domain"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_library_error_exits_two(self, capsys, argv, message):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -163,7 +165,7 @@ class TestShapeOperator:
         ev = fc.DefiningEvaluation(normal, np.zeros(6), normal, hess, grad_norm)
         with np.errstate(over="ignore", invalid="ignore"):
             shape = fc.shape_operator(ev, fc.OrientedNormal(-normal, -1, grad_norm), frame)
-            coef = hypersurface.SIGN_CONVENTION * -1 / grad_norm[:, None, None]
+            coef = -1 / grad_norm[:, None, None]
             full = coef * (basis @ hess @ np.swapaxes(basis, -1, -2))
             want = np.triu(full) + np.swapaxes(np.triu(full, 1), -1, -2)
         assert np.array_equal(shape.entries.view(np.uint64), want.view(np.uint64))
@@ -288,10 +290,20 @@ def _with_eigenvalues(shape):
     return shape.entries, shape.principal_curvatures, shape.mean
 
 
+def _no_points(fld):
+    """fld with an empty (0, N, N) pre-map stack: a pull-back for no points."""
+    return dataclasses.replace(fld, pre=EMPTY_MATRICES)
+
+
 EMPTY_CASES = {  # name: (result on a (0, N) stack, its shapes)
     "gradients": (lambda fund, fld: fc.gradients(fld, EMPTY), ((0,), (0, N))),
     "grad_hess": (lambda fund, fld: fc.grad_hess(fld, EMPTY), ((0,), (0, N), (0, N, N))),
     "fd_grad_hess": (lambda fund, fld: fc.fd_grad_hess(fld, EMPTY), ((0,), (0, N), (0, N, N))),
+    "gradients pre-map": (lambda fund, fld: fc.gradients(_no_points(fld), EMPTY), ((0,), (0, N))),
+    "grad_hess pre-map": (lambda fund, fld: fc.grad_hess(_no_points(fld), EMPTY),
+                          ((0,), (0, N), (0, N, N))),
+    "fd_grad_hess pre-map": (lambda fund, fld: fc.fd_grad_hess(_no_points(fld), EMPTY),
+                             ((0,), (0, N), (0, N, N))),
     "metric_tensor": (lambda fund, fld: tuple(fc.metric_tensor(fund, EMPTY)),
                       ((0, N), (0, N, N))),
     "eval_F": (lambda fund, fld: fc.eval_F(fund, EMPTY), (0,)),
@@ -322,3 +334,13 @@ def test_empty_stacks_give_empty_results(name):
     fund = fc.randers(2.0 * np.eye(N), np.array([0.1, 0.2, 0.0]))
     compute, shapes = EMPTY_CASES[name]
     assert _empty_shapes(compute(fund, fc.defining_field(fund))) == shapes
+
+
+@pytest.mark.parametrize("derive", [fc.gradients, fc.grad_hess, fc.fd_grad_hess],
+                         ids=lambda derive: derive.__name__)
+@pytest.mark.parametrize("rows", [np.ones(N), np.ones((2, N))], ids=["point", "rows"])
+@pytest.mark.filterwarnings("error")
+def test_empty_pre_map_stack_takes_no_rows(derive, rows):
+    fund = fc.randers(2.0 * np.eye(N), np.array([0.1, 0.2, 0.0]))
+    with pytest.raises(fc.DimensionMismatch, match=r"rows do not split among 0 points$"):
+        derive(_no_points(fc.defining_field(fund)), rows)

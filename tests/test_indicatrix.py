@@ -157,6 +157,10 @@ class TestSampling:
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             fc.sample_indicatrix(fc.euclidean(3), 5, -1)
 
+    def test_zero_count_rejected(self):
+        with pytest.raises(ValueError, match="^count must be >= 1$"):
+            fc.sample_indicatrix(fc.euclidean(3), 0, 1)
+
     def test_empty_domain_rejected_before_first_draw(self, monkeypatch):
         # 0.15 * sqrt(n) > 1 from n = 45 on: no direction passes the guard
         def no_draws(seed=None):
@@ -293,6 +297,16 @@ class TestVerifyClaims:
         monkeypatch.setattr(ind, "_sample_chunks", None)  # would raise TypeError if reached
         with pytest.raises(ValueError, match="^finite-difference step must lie in"):
             fc.verify_claims(fc.euclidean(3), count=2, methods=("fd",), fd_step=fd_step)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_fd_step_is_a_point_failure(self):
+        # h = 2**511 passes check_step, but the scaled step leaves 4 * step**2 infinite
+        summary = fc.verify_claims(fc.euclidean(3), count=3, methods=("fd",), fd_step=2.0 ** 511)
+        stats = summary.stats["fd"]
+        assert not summary.passed and stats.count == 0
+        assert [f["index"] for f in stats.failures] == [0, 1, 2]
+        assert all(f["error"].startswith("scaled finite-difference step") for f in stats.failures)
+        assert all(isinstance(item, ValueError) for item in summary.reports["fd"])
 
     @pytest.mark.parametrize("methods", [("HyperDual",), (), "hyperdual"])
     def test_bad_methods_rejected_before_sampling(self, methods, monkeypatch):

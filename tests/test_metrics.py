@@ -243,6 +243,16 @@ class TestSpecGrammar:
         fund = parse_metric_spec(f"quadratic:A=@{path}", dim=2)
         assert np.array_equal(fund.matrix, [[2.0, 0.5], [0.5, 1.0]])
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"order": 2, "entries": [2.0, 0.5, 0.5, 1.0]}, "^metric has dimension 2 but dim is 3$"),
+        ({"order": 3, "entries": [1.0, 0.0, 0.0, 1.0]}, "entries length must be order\\*\\*2$"),
+    ], ids=["order-below-dim", "short-entries"])
+    def test_bad_quadratic_file(self, tmp_path, payload, message):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(UsageError, match=message):
+            parse_metric_spec(f"quadratic:A=@{path}", dim=3)
+
     def test_randers_inline(self, tmp_path):
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"order": 3, "entries": list(np.eye(3).ravel())}))
