@@ -3,7 +3,7 @@
 A hypersurface given as the zero set of a scalar field f carries a
 shape operator that can be read off from f alone:
 
-    S entries = sign / |grad f| * X_a^T (Hess f) X_b
+    S entries = 1 / |grad f| * X_a^T (Hess f) X_b
 
 restricted to a tangent frame {X_a}. This script walks through the
 classic sanity cases: spheres (H = 1/r), a hyperplane (H = 0) and an
@@ -29,7 +29,7 @@ for radius in (0.5, 1.0, 2.0, 5.0):
         3, lambda z, r=radius: (z[0] * z[0] + z[1] * z[1] + z[2] * z[2] - r * r) * 0.5)
     point = np.array([0.0, 0.0, radius])
     ev = evaluate_defining(fld, point, on_surface=True)
-    normal = unit_normal(ev, 1)  # outward
+    normal = unit_normal(ev)  # outward
     h = fc.mean_curvature_trace(ev, normal)
     print(f"  r = {radius:3.1f}   H = {h:.12f}   expected {1.0 / radius:.12f}")
 
@@ -39,7 +39,7 @@ for radius in (0.5, 1.0, 2.0, 5.0):
 plane = fc.ScalarField(3, lambda z: z[0] + 2.0 * z[1] - z[2] - 0.7)
 point = np.array([0.5, 0.2, 0.2])
 ev = evaluate_defining(plane, point, on_surface=True)
-print(f"\nhyperplane:  H = {fc.mean_curvature_trace(ev, unit_normal(ev, 1)):.2e}")
+print(f"\nhyperplane:  H = {fc.mean_curvature_trace(ev, unit_normal(ev)):.2e}")
 
 # ----------------------------------------------------------------------
 # Ellipsoid x^2/4 + y^2 + z^2 = 1: curvature varies over the surface.
@@ -53,9 +53,9 @@ print("\nellipsoid x^2/4 + y^2 + z^2 = 1")
 for theta in (0.3, 1.0, 1.4):
     point = np.array([2.0 * np.cos(theta), np.sin(theta), 0.0])
     ev = evaluate_defining(ellipsoid, point, on_surface=True)
-    normal = unit_normal(ev, 1)
+    normal = unit_normal(ev)
     shape = shape_operator(ev, normal)
-    oracle = weingarten_oracle(ellipsoid, point, 1, 1e-5)
+    oracle = weingarten_oracle(ellipsoid, point, 1e-5)
     gap = np.max(np.abs(shape.entries - oracle.entries))
     ks = ", ".join(f"{k:.6f}" for k in shape.principal_curvatures)
     print(f"  theta = {theta:.1f}: principal curvatures ({ks}),"

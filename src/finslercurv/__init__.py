@@ -23,7 +23,6 @@ from .exceptions import (
 )
 from .hypersurface import (
     DefiningEvaluation,
-    OrientedNormal,
     ShapeOperatorMatrix,
     evaluate_defining,
     mean_curvature_trace,

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainViolation
-from .numkernel import _norms
+from .numkernel import _first, _norms
 
 _SCALARS = (int, float, np.floating, np.ndarray)
 
@@ -433,23 +433,34 @@ def check_step(h) -> None:
                          "where h * h is a normal float")
 
 
+def _scaled_step(h, y) -> np.ndarray:
+    """The step h * max(1, ||z||) for each row z of y, h one step or one per row.
+
+    Raises ValueError unless h passes check_step and every scaled step is
+    below 2**511, where 4 * step * step is finite. A NaN step, from a NaN
+    row, is left to the field.
+    """
+    check_step(h)
+    with np.errstate(over="ignore"):  # a step that overflows fails the check below
+        step = h * np.maximum(1.0, _norms(y))
+    big = _first(step, step >= 2.0 ** 511)
+    if big is not None:
+        raise ValueError(f"scaled finite-difference step {big:.3e} "
+                         "must be below 2**511, where 4 * step * step is finite")
+    return step
+
+
 def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     """Central-difference value/gradient/Hessian, O(h^2) accurate, shaped as grad_hess's.
 
-    Steps are h times max(1, ||z||) for each row z, taken before any pre-map;
-    the 2n^2 + 1 stencil points of every row, grouped by row, go through one
-    float evaluation of the field. Independent of the hyper-dual path, and
-    its oracle. Raises ValueError, before any evaluation, unless h passes
-    check_step and every scaled step is below 2**511 (so 4 * step * step is
-    finite), and DomainViolation if any stencil point leaves the guard.
+    Steps are _scaled_step's, taken before any pre-map; the 2n^2 + 1 stencil
+    points of every row, grouped by row, go through one float evaluation of
+    the field. Independent of the hyper-dual path, and its oracle. Raises
+    _scaled_step's ValueError before any evaluation, and DomainViolation if
+    any stencil point leaves the guard.
     """
-    check_step(h)
     rows = point_rows(y, fld.dim)
-    with np.errstate(over="ignore"):  # a step that overflows fails the check below
-        step = h * np.maximum(1.0, _norms(rows))[:, None]  # (R, 1)
-    if (step >= 2.0 ** 511).any():  # a NaN step, from a NaN row, is left to the field
-        raise ValueError(f"scaled finite-difference step {step[step >= 2.0 ** 511][0]:.3e} "
-                         "must be below 2**511, where 4 * step * step is finite")
+    step = _scaled_step(h, rows)[:, None]  # (R, 1)
     n = fld.dim
     seeds = _seeds(n)
     # offsets 0, +e_i, -e_i, then +-e_i +-e_j per pair i < j; built here, not with the

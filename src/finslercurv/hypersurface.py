@@ -1,7 +1,7 @@
-"""Curvature of an implicitly defined, oriented hypersurface.
+"""Curvature of an implicitly defined hypersurface.
 
 The surface is the zero level set of a defining scalar field f with
-nonvanishing gradient. The unit normal is eps * grad f / |grad f|; the
+nonvanishing gradient. The unit normal is grad f / |grad f|; the
 shape operator in an orthonormal tangent frame is the projected Hessian
 of f scaled by 1/|grad f|, and the mean curvature is the corresponding
 normal-deflated trace. A finite-difference Weingarten construction
@@ -10,9 +10,10 @@ for the same matrix. Every stage takes one point or a (P, n) stack of
 points, and a stack gives each point the numbers it would get alone.
 
 Sign convention: the shape operator is the derivative of the unit normal
-itself, so the unit sphere with outward normal (eps = +1) has every
-principal curvature +1 (convex surfaces seen from outside are positively
-curved). Flipping eps negates the shape operator and the mean curvature.
+itself, so the unit sphere f = (|y|^2 - 1)/2, whose normal points
+outward, has every principal curvature +1 (convex surfaces seen from
+outside are positively curved). The inward orientation is the zero set
+of -f, which negates the shape operator and the mean curvature.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ScalarField, check_step, grad_hess, gradients
+from .autodiff import ScalarField, _scaled_step, grad_hess, gradients
 from .exceptions import DimensionMismatch, OffSurface, VanishingGradient
 from .numkernel import TangentFrame, _first, _norms, complete_frame, trace_reduction
 
@@ -47,15 +48,6 @@ class DefiningEvaluation:
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
-    grad_norm: float
-
-
-@dataclass(frozen=True)
-class OrientedNormal:
-    """Unit normal eps * grad f / |grad f| with its orientation sign."""
-
-    direction: np.ndarray
-    epsilon: int
     grad_norm: float
 
 
@@ -88,11 +80,11 @@ def _check_grad_norm(grad_norm) -> None:
         raise VanishingGradient(f"|grad f| = {small:.3e}")
 
 
-def _unit(gradient, epsilon: int) -> np.ndarray:
-    """eps * grad / |grad| over the last axis."""
+def _unit(gradient) -> np.ndarray:
+    """grad / |grad| over the last axis."""
     grad_norm = _norms(gradient)
     _check_grad_norm(grad_norm)
-    return epsilon * gradient / grad_norm[..., None]
+    return gradient / grad_norm[..., None]
 
 
 def defining_evaluation(y, value, gradient, hessian,
@@ -114,30 +106,23 @@ def evaluate_defining(fld: ScalarField, y, on_surface: bool = False) -> Defining
     return defining_evaluation(y, *grad_hess(fld, y), on_surface=on_surface)
 
 
-def unit_normal(ev: DefiningEvaluation, epsilon: int = 1) -> OrientedNormal:
-    """Oriented unit normal from a defining evaluation."""
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
+def unit_normal(ev: DefiningEvaluation) -> np.ndarray:
+    """Unit normal grad f / |grad f|, (n,) or one (P, n) row per stacked point."""
     _check_grad_norm(ev.grad_norm)
-    direction = epsilon * ev.gradient / np.asarray(ev.grad_norm)[..., None]
-    return OrientedNormal(direction, epsilon, ev.grad_norm)
+    return ev.gradient / np.asarray(ev.grad_norm)[..., None]
 
 
-def shape_operator(ev: DefiningEvaluation, normal: OrientedNormal,
-                   frame: TangentFrame | None = None) -> ShapeOperatorMatrix:
+def shape_operator(ev: DefiningEvaluation, normal: np.ndarray) -> ShapeOperatorMatrix:
     """Shape-operator matrix from the projected Hessian of f.
 
-    Entry (a, b) is eps / |grad f| times
-    X_a . (Hess f) X_b; the lower triangle mirrors the upper one, so the
-    matrix is exactly symmetric. ``frame`` defaults to complete_frame of
-    the normal direction; passing one explicitly lets both orientations
-    be compared in the same basis.
+    Entry (a, b) is X_a . (Hess f) X_b / |grad f| in the frame
+    complete_frame(normal) of the unit normal; the lower triangle mirrors
+    the upper one, so the matrix is exactly symmetric.
     """
     if ev.at.shape[-1] < 2:
         raise DimensionMismatch("ambient dimension must be >= 2")
-    if frame is None:
-        frame = complete_frame(normal.direction)
-    coef = normal.epsilon / np.asarray(normal.grad_norm)[..., None, None]
+    frame = complete_frame(normal)
+    coef = 1 / np.asarray(ev.grad_norm)[..., None, None]
     basis = frame.basis
     full = coef * (basis @ ev.hessian @ basis.swapaxes(-1, -2))
     entries = full + 0.0  # a copy in which -0.0 reads +0.0, in both triangles
@@ -146,43 +131,43 @@ def shape_operator(ev: DefiningEvaluation, normal: OrientedNormal,
     return ShapeOperatorMatrix(frame, entries)
 
 
-def mean_curvature_trace(ev: DefiningEvaluation, normal: OrientedNormal):
+def mean_curvature_trace(ev: DefiningEvaluation, normal: np.ndarray):
     """Mean curvature via the normal-deflated Hessian trace.
 
-    eps / ((n-1) |grad f|) * (tr Hess f - N Hess f N^T).
+    (tr Hess f - N Hess f N^T) / ((n-1) |grad f|), N the unit normal.
     Agrees with shape_operator(...).mean to rounding; the two routes share
     only the Hessian. A float, or one value per stacked row.
     """
     n = ev.at.shape[-1]
-    coef = normal.epsilon / ((n - 1) * normal.grad_norm)
-    return coef * trace_reduction(ev.hessian, normal.direction)
+    coef = 1 / ((n - 1) * ev.grad_norm)
+    return coef * trace_reduction(ev.hessian, normal)
 
 
-def weingarten_oracle(fld: ScalarField, y, epsilon: int = 1, h: float = 1e-5,
+def weingarten_oracle(fld: ScalarField, y, h: float = 1e-5,
                       frame: TangentFrame | None = None) -> ShapeOperatorMatrix:
     """Shape operator by central differencing of the unit normal field.
 
-    For each frame vector X_b, the normal is re-evaluated at
-    y +- h*max(1, ||y||)*X_b; the difference quotient is projected back
-    onto the frame and the matrix symmetrized by transpose averaging.
-    Entirely independent of the Hessian-formula route except for the
-    field itself. All 2(n-1) stencil points of every row of a (P, n) y go
-    through one first-order field evaluation, grouped by row (the layout
-    a per-row field such as indicatrix.adapted_field expects); ``h`` is
-    one step, or one per row, and must pass check_step. ``frame`` is the
-    oriented tangent frame at y when the caller already has it; otherwise
-    it is completed from the gradient at y.
+    For each frame vector X_b, the normal is re-evaluated at y +- step*X_b,
+    where step = h*max(1, ||y||) by fd_grad_hess's rule (autodiff's
+    _scaled_step, whose ValueError comes before any evaluation). The
+    difference quotient is projected back onto the frame and the matrix
+    symmetrized by transpose averaging. Entirely independent of the
+    Hessian-formula route except for the field itself. All 2(n-1) stencil
+    points of every row of a (P, n) y go through one first-order field
+    evaluation, grouped by row (the layout a per-row field such as
+    indicatrix.adapted_field expects); ``h`` is one step, or one per row.
+    ``frame`` is the tangent frame at y when the caller already has it;
+    otherwise it is completed from the gradient at y.
     """
-    check_step(h)
     y = np.asarray(y, dtype=float)
+    step = _scaled_step(h, y)
     if frame is None:
-        frame = complete_frame(_unit(gradients(fld, y)[1], epsilon))
+        frame = complete_frame(_unit(gradients(fld, y)[1]))
     n = y.shape[-1]
-    step = h * np.maximum(1.0, _norms(y))
     offsets = step[..., None, None, None] * frame.basis[..., None, :]  # (..., k, 1, n)
     stencil = y[..., None, None, :] + np.concatenate([offsets, -offsets], axis=-2)
     _, grads = gradients(fld, stencil.reshape(-1, n))
-    normals = _unit(grads, epsilon).reshape(stencil.shape)
+    normals = _unit(grads).reshape(stencil.shape)
     derivs = (normals[..., 0, :] - normals[..., 1, :]) / (2.0 * step[..., None, None])
     raw = frame.basis @ derivs.swapaxes(-1, -2)  # X_a . D_b N
     entries = 0.5 * (raw + raw.swapaxes(-1, -2))

@@ -235,12 +235,12 @@ def adapted_field(fund: FundamentalFunction, point) -> ScalarField:
     ``point`` is one IndicatrixPoint or a sequence of P of them. The field
     is the defining field with the pre-map B = chol^-T, which maps adapted
     coordinates z to original ones w = B z, as a (P, n, n) stack (P = 1
-    for a single point), so the field takes stacked rows grouped by point
-    (of R rows, each consecutive block of R / P rows belongs to one point,
-    in order).
+    for a single point, 0 for none), so the field takes stacked rows
+    grouped by point (of R rows, each consecutive block of R / P rows
+    belongs to one point, in order).
     """
     points = [point] if isinstance(point, IndicatrixPoint) else point
-    return _adapted_field(fund, np.array([p.chol for p in points]))
+    return _adapted_field(fund, np.array([p.chol for p in points]).reshape(-1, fund.dim, fund.dim))
 
 
 def _adapted_field(fund: FundamentalFunction, chol: np.ndarray) -> ScalarField:
@@ -282,10 +282,10 @@ def _chunk_reports(fund, chunk: _Chunk, method, fd_step) -> tuple[list, np.ndarr
     z = chunk.z
     derive = grad_hess if method == "hyperdual" else lambda f, y: fd_grad_hess(f, y, fd_step)
     ev = defining_evaluation(z, *derive(fld, z), on_surface=method == "hyperdual")
-    normal = unit_normal(ev, 1)  # outward: the radius vector
+    normal = unit_normal(ev)  # outward: the radius vector
     h_trace = mean_curvature_trace(ev, normal)
     shape = shape_operator(ev, normal)
-    oracle = weingarten_oracle(fld, z, 1, _oracle_steps(fld.pre), frame=shape.frame)
+    oracle = weingarten_oracle(fld, z, _oracle_steps(fld.pre), frame=shape.frame)
     principal = shape.principal_curvatures
     columns = np.array([
         h_trace,
@@ -294,7 +294,7 @@ def _chunk_reports(fund, chunk: _Chunk, method, fd_step) -> tuple[list, np.ndarr
         np.abs(principal - 1.0).max(axis=-1),
         np.abs(shape.entries - oracle.entries).max(axis=(-2, -1)),
         np.abs(h_trace - shape.mean),
-        np.abs(normal.direction - z).max(axis=-1),
+        np.abs(normal - z).max(axis=-1),
         np.abs(ev.grad_norm - 1.0),
     ])
     # one list per residual, so that the records hold Python floats

@@ -13,7 +13,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run_python(args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # a numpy RuntimeWarning (overflow, invalid value) fails the run, as in the CLI smoke
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error::RuntimeWarning")
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
 

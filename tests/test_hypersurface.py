@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import finslercurv as fc
-from finslercurv import hypersurface
+from finslercurv import hypersurface, indicatrix
 from finslercurv.exceptions import OffSurface, VanishingGradient
 
 
@@ -86,33 +86,27 @@ class TestUnitNormal:
     def test_sphere_radius_vector(self):
         y = np.array([0.6, 0.0, 0.8])
         ev = fc.evaluate_defining(sphere_field(), y, on_surface=True)
-        normal = fc.unit_normal(ev, 1)
-        assert np.max(np.abs(normal.direction - y)) <= 1e-15
+        normal = fc.unit_normal(ev)
+        assert np.max(np.abs(normal - y)) <= 1e-15
 
     def test_plane(self):
         a = np.array([3.0, 0.0, 4.0])
         ev = fc.evaluate_defining(plane_field(a, 0.0), [0.0, 1.0, 0.0], on_surface=True)
-        normal = fc.unit_normal(ev, 1)
-        assert np.max(np.abs(normal.direction - a / 5.0)) <= 1e-15
-
-    def test_orientation_flip(self):
-        ev = fc.evaluate_defining(sphere_field(), [0.0, 0.0, 1.0], on_surface=True)
-        plus = fc.unit_normal(ev, 1)
-        minus = fc.unit_normal(ev, -1)
-        assert np.array_equal(minus.direction, -plus.direction)
+        normal = fc.unit_normal(ev)
+        assert np.max(np.abs(normal - a / 5.0)) <= 1e-15
 
 
 class TestShapeOperator:
     def test_unit_sphere(self):
         ev = fc.evaluate_defining(sphere_field(), [0.0, 0.0, 1.0], on_surface=True)
-        shape = fc.shape_operator(ev, fc.unit_normal(ev, 1))
+        shape = fc.shape_operator(ev, fc.unit_normal(ev))
         assert np.max(np.abs(shape.entries - np.eye(2))) <= 1e-15
         assert np.allclose(shape.principal_curvatures, [1.0, 1.0], rtol=0, atol=1e-14)
         assert shape.mean == 1.0
 
     def test_radius_two_sphere(self):
         ev = fc.evaluate_defining(sphere_field(2.0), [2.0, 0.0, 0.0], on_surface=True)
-        shape = fc.shape_operator(ev, fc.unit_normal(ev, 1))
+        shape = fc.shape_operator(ev, fc.unit_normal(ev))
         assert abs(shape.mean - 0.5) <= 1e-15
 
     def test_ellipsoid_matches_oracle(self):
@@ -120,8 +114,8 @@ class TestShapeOperator:
         for u, v in ((0.7, 0.3), (1.2, 2.1), (2.0, 4.0)):
             y = ellipsoid_point(u, v)
             ev = fc.evaluate_defining(fld, y, on_surface=True)
-            shape = fc.shape_operator(ev, fc.unit_normal(ev, 1))
-            oracle = fc.weingarten_oracle(fld, y, 1, 1e-5)
+            shape = fc.shape_operator(ev, fc.unit_normal(ev))
+            oracle = fc.weingarten_oracle(fld, y, 1e-5)
             assert np.max(np.abs(shape.entries - oracle.entries)) <= 1e-5
             assert np.max(np.abs(np.sort(shape.principal_curvatures)
                                  - np.sort(oracle.principal_curvatures))) <= 1e-5
@@ -131,21 +125,9 @@ class TestShapeOperator:
         fld = ellipsoid_field()
         y = np.array([2.0, 0.0, 0.0])
         ev = fc.evaluate_defining(fld, y, on_surface=True)
-        shape = fc.shape_operator(ev, fc.unit_normal(ev, 1))
-        oracle = fc.weingarten_oracle(fld, y, 1, 1e-5)
+        shape = fc.shape_operator(ev, fc.unit_normal(ev))
+        oracle = fc.weingarten_oracle(fld, y, 1e-5)
         assert abs(shape.mean - oracle.mean) <= 1e-6
-
-    def test_orientation_negates_entries(self):
-        fld = ellipsoid_field()
-        y = ellipsoid_point(0.9, 1.4)
-        ev = fc.evaluate_defining(fld, y, on_surface=True)
-        plus = fc.unit_normal(ev, 1)
-        minus = fc.unit_normal(ev, -1)
-        frame = fc.complete_frame(plus.direction)
-        s_plus = fc.shape_operator(ev, plus, frame=frame)
-        s_minus = fc.shape_operator(ev, minus, frame=frame)
-        assert np.array_equal(s_minus.entries, -s_plus.entries)
-        assert fc.mean_curvature_trace(ev, minus) == -fc.mean_curvature_trace(ev, plus)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_mirror_bits_match_triu_sum(self, n):
@@ -153,19 +135,18 @@ class TestShapeOperator:
         # projected Hessians hold +-0.0, NaN and inf
         rng = np.random.default_rng(70 + n)
         hess = rng.standard_normal((6, n, n))
-        hess[0] = 0.0                                   # with eps = -1, full is all -0.0
+        hess[0] = 0.0                                   # with |grad f| = -inf, full is -0.0
         hess[1, 1, -1] = 0.0                            # one zero entry
         hess[2, -1, 1] = np.nan                         # NaN below the diagonal only
         hess[3, 1, 1] = np.inf                          # inf and NaN (0 * inf)
         hess[4] *= 1e306                                # full overflows to +-inf
         basis = np.broadcast_to(np.eye(n)[1:], (6, n - 1, n))  # exact: e_2, ..., e_n
-        normal = np.broadcast_to(np.eye(n)[0], (6, n))
-        frame = fc.TangentFrame(n, normal, basis)
-        grad_norm = np.array([1.0, 2.0, 0.5, 3.0, 1e-3, 1.0])
+        normal = np.broadcast_to(np.eye(n)[0], (6, n))  # complete_frame(e_1) is exactly basis
+        grad_norm = np.array([-np.inf, 2.0, 0.5, 3.0, 1e-3, 1.0])
         ev = fc.DefiningEvaluation(normal, np.zeros(6), normal, hess, grad_norm)
         with np.errstate(over="ignore", invalid="ignore"):
-            shape = fc.shape_operator(ev, fc.OrientedNormal(-normal, -1, grad_norm), frame)
-            coef = -1 / grad_norm[:, None, None]
+            shape = fc.shape_operator(ev, normal)
+            coef = 1 / grad_norm[:, None, None]
             full = coef * (basis @ hess @ np.swapaxes(basis, -1, -2))
             want = np.triu(full) + np.swapaxes(np.triu(full, 1), -1, -2)
         assert np.array_equal(shape.entries.view(np.uint64), want.view(np.uint64))
@@ -177,12 +158,12 @@ class TestShapeOperator:
 class TestMeanCurvatureTrace:
     def test_unit_sphere(self):
         ev = fc.evaluate_defining(sphere_field(), [0.0, 0.0, 1.0], on_surface=True)
-        assert fc.mean_curvature_trace(ev, fc.unit_normal(ev, 1)) == 1.0
+        assert fc.mean_curvature_trace(ev, fc.unit_normal(ev)) == 1.0
 
     def test_hyperplane(self):
         ev = fc.evaluate_defining(plane_field([1.0, 1.0, 1.0], 0.3),
                                   [0.1, 0.1, 0.1], on_surface=True)
-        assert fc.mean_curvature_trace(ev, fc.unit_normal(ev, 1)) == 0.0
+        assert fc.mean_curvature_trace(ev, fc.unit_normal(ev)) == 0.0
 
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 5.0])
     def test_sphere_family(self, radius):
@@ -191,11 +172,11 @@ class TestMeanCurvatureTrace:
         y = radius * d / np.linalg.norm(d)
         fld = sphere_field(radius)
         ev = fc.evaluate_defining(fld, y, on_surface=True)
-        normal = fc.unit_normal(ev, 1)
+        normal = fc.unit_normal(ev)
         h = fc.mean_curvature_trace(ev, normal)
         assert abs(h - 1.0 / radius) <= 1e-10
         assert abs(h * radius - 1.0) <= 1e-10
-        oracle = fc.weingarten_oracle(fld, y, 1, 1e-5)
+        oracle = fc.weingarten_oracle(fld, y, 1e-5)
         assert abs(oracle.mean - h) <= 1e-6
 
     def test_path_equivalence(self):
@@ -203,7 +184,7 @@ class TestMeanCurvatureTrace:
         for u, v in ((0.4, 0.9), (1.5, 3.3), (2.6, 5.0)):
             y = ellipsoid_point(u, v)
             ev = fc.evaluate_defining(fld, y, on_surface=True)
-            normal = fc.unit_normal(ev, 1)
+            normal = fc.unit_normal(ev)
             h_trace = fc.mean_curvature_trace(ev, normal)
             h_eigen = fc.shape_operator(ev, normal).mean
             assert abs(h_trace - h_eigen) <= 1e-10
@@ -216,10 +197,30 @@ class TestWeingartenOracle:
         # a per-row step fails if any of its entries does
         y = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
         with pytest.raises(ValueError, match="^finite-difference step must lie in"):
-            fc.weingarten_oracle(sphere_field(), y, 1, h)
+            fc.weingarten_oracle(sphere_field(), y, h)
+
+    @pytest.mark.parametrize("y, h", [
+        ([0.6, 0.8], 2.0 ** 511),  # 4 * step * step overflows
+        ([1e200, 1.0], 1e-5),      # step * step overflows
+    ], ids=["largest-h", "huge-point"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaled_step_checked_before_evaluation(self, y, h):
+        def evaluated(z):
+            raise AssertionError("the field was evaluated")
+
+        with pytest.raises(ValueError, match=r"^scaled finite-difference step .* below 2\*\*511"):
+            fc.weingarten_oracle(fc.ScalarField(2, evaluated), y, h)
+        with pytest.raises(ValueError, match=r"^scaled finite-difference step"):
+            fc.weingarten_oracle(sphere_field(dim=2), y, h)
 
     def test_unit_sphere_identity(self):
-        oracle = fc.weingarten_oracle(sphere_field(), np.array([0.0, 0.0, 1.0]), 1, 1e-5)
+        oracle = fc.weingarten_oracle(sphere_field(), np.array([0.0, 0.0, 1.0]), 1e-5)
+        assert np.max(np.abs(oracle.entries - np.eye(2))) <= 1e-9
+
+    def test_given_frame_keeps_the_step(self):
+        # the third positional argument is the step, also when the frame is given
+        y = np.array([0.0, 0.0, 1.0])
+        oracle = fc.weingarten_oracle(sphere_field(), y, 1e-5, frame=fc.complete_frame(y))
         assert np.max(np.abs(oracle.entries - np.eye(2))) <= 1e-9
 
     def test_seeded_quadric_r4(self):
@@ -231,19 +232,19 @@ class TestWeingartenOracle:
         d = rng.standard_normal(4)
         y = d / np.sqrt(d @ a @ d)
         ev = fc.evaluate_defining(fld, y, on_surface=True)
-        shape = fc.shape_operator(ev, fc.unit_normal(ev, 1))
-        oracle = fc.weingarten_oracle(fld, y, 1, 1e-5)
+        shape = fc.shape_operator(ev, fc.unit_normal(ev))
+        oracle = fc.weingarten_oracle(fld, y, 1e-5)
         assert np.max(np.abs(shape.entries - oracle.entries)) <= 1e-6
 
     def test_order_two_convergence(self):
         fld = ellipsoid_field()
         y = ellipsoid_point(0.7, 0.3)
         ev = fc.evaluate_defining(fld, y, on_surface=True)
-        shape = fc.shape_operator(ev, fc.unit_normal(ev, 1))
+        shape = fc.shape_operator(ev, fc.unit_normal(ev))
         gap_coarse = np.max(np.abs(
-            fc.weingarten_oracle(fld, y, 1, 4e-4).entries - shape.entries))
+            fc.weingarten_oracle(fld, y, 4e-4).entries - shape.entries))
         gap_fine = np.max(np.abs(
-            fc.weingarten_oracle(fld, y, 1, 2e-4).entries - shape.entries))
+            fc.weingarten_oracle(fld, y, 2e-4).entries - shape.entries))
         assert 3.5 <= gap_coarse / gap_fine <= 4.5
 
     def test_weingarten_identity_property(self):
@@ -254,8 +255,8 @@ class TestWeingartenOracle:
         for u_par, v_par in ((0.6, 1.1), (1.9, 4.2)):
             y = ellipsoid_point(u_par, v_par)
             ev = fc.evaluate_defining(fld, y, on_surface=True)
-            normal = fc.unit_normal(ev, 1)
-            oracle = fc.weingarten_oracle(fld, y, 1, 1e-5)
+            normal = fc.unit_normal(ev)
+            oracle = fc.weingarten_oracle(fld, y, 1e-5)
             frame = oracle.frame
             for _ in range(10):
                 cu = rng.standard_normal(2)
@@ -273,7 +274,7 @@ def _empty_shapes(result):
         return tuple(_empty_shapes(r) for r in result)
     fields = getattr(result, "__dataclass_fields__", None)
     if fields is not None:
-        return {k: _empty_shapes(getattr(result, k)) for k in fields if k != "epsilon"}
+        return {k: _empty_shapes(getattr(result, k)) for k in fields}
     return np.shape(result)
 
 
@@ -312,14 +313,14 @@ EMPTY_CASES = {  # name: (result on a (0, N) stack, its shapes)
     "evaluate_defining": (lambda fund, fld: _on_empty_stack(fld)[0], {
         "at": (0, N), "value": (0,), "gradient": (0, N), "hessian": (0, N, N),
         "grad_norm": (0,)}),
-    "unit_normal": (lambda fund, fld: _on_empty_stack(fld)[1],
-                    {"direction": (0, N), "grad_norm": (0,)}),
+    "unit_normal": (lambda fund, fld: _on_empty_stack(fld)[1], (0, N)),
     "mean_curvature_trace": (lambda fund, fld: fc.mean_curvature_trace(*_on_empty_stack(fld)),
                              (0,)),
     "shape_operator": (lambda fund, fld: _with_eigenvalues(
         fc.shape_operator(*_on_empty_stack(fld))), ((0, N - 1, N - 1), (0, N - 1), (0,))),
     "weingarten_oracle": (lambda fund, fld: _with_eigenvalues(fc.weingarten_oracle(fld, EMPTY)),
                           ((0, N - 1, N - 1), (0, N - 1), (0,))),
+    "adapted_field": (lambda fund, fld: indicatrix.adapted_field(fund, []).pre, (0, N, N)),
     "complete_frame": (lambda fund, fld: fc.complete_frame(EMPTY),
                        {"ambient_dim": (), "normal": (0, N), "basis": (0, N - 1, N)}),
     "cholesky": (lambda fund, fld: fc.cholesky(EMPTY_MATRICES), (0, N, N)),
