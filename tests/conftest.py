@@ -65,3 +65,10 @@ else:
     # reproducible and do not fail on a slow or drifting machine.
     settings.register_profile("finslercurv", derandomize=True, deadline=None)
     settings.load_profile("finslercurv")
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Name the mode in which test_golden.py and test_demos.py replay the golden corpus."""
+    import golden_corpus
+
+    terminalreporter.write_line(f"golden corpus replay mode: {golden_corpus.replay_mode()}")

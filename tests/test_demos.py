@@ -1,22 +1,13 @@
 """The demo scripts, the README's Python quick start and ``python -m finslercurv`` run cleanly."""
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+import golden_corpus as golden
+from golden_corpus import ROOT, run_python  # a numpy RuntimeWarning fails the run
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-
-
-def run_python(args):
-    # a numpy RuntimeWarning (overflow, invalid value) fails the run, as in the CLI smoke
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error::RuntimeWarning")
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 def test_demos_found():
@@ -25,10 +16,10 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    result = run_python([str(demo)])
-    assert result.returncode == 0, result.stderr
-    assert result.stderr == ""
-    assert result.stdout
+    # exit 0, empty stderr and the golden stdout, under golden_corpus's replay mode
+    case = golden.load(f"demo-{demo.stem}")
+    result = run_python(case["argv"])
+    golden.check(case, result.returncode, result.stdout, result.stderr, golden.replay_mode())
 
 
 def test_readme_quick_start_passes():
