@@ -13,12 +13,7 @@ ellipsoid checked against a finite-difference oracle.
 import numpy as np
 
 import finslercurv as fc
-from finslercurv.hypersurface import (
-    evaluate_defining,
-    unit_normal,
-    shape_operator,
-    weingarten_oracle,
-)
+from finslercurv.hypersurface import evaluate_defining, shape_operator, weingarten_oracle
 
 # ----------------------------------------------------------------------
 # Spheres of radius r: every principal curvature is 1/r.
@@ -29,8 +24,7 @@ for radius in (0.5, 1.0, 2.0, 5.0):
         3, lambda z, r=radius: (z[0] * z[0] + z[1] * z[1] + z[2] * z[2] - r * r) * 0.5)
     point = np.array([0.0, 0.0, radius])
     ev = evaluate_defining(fld, point, on_surface=True)
-    normal = unit_normal(ev)  # outward
-    h = fc.mean_curvature_trace(ev, normal)
+    h = fc.mean_curvature_trace(ev)  # ev.normal points outward
     print(f"  r = {radius:3.1f}   H = {h:.12f}   expected {1.0 / radius:.12f}")
 
 # ----------------------------------------------------------------------
@@ -39,7 +33,7 @@ for radius in (0.5, 1.0, 2.0, 5.0):
 plane = fc.ScalarField(3, lambda z: z[0] + 2.0 * z[1] - z[2] - 0.7)
 point = np.array([0.5, 0.2, 0.2])
 ev = evaluate_defining(plane, point, on_surface=True)
-print(f"\nhyperplane:  H = {fc.mean_curvature_trace(ev, unit_normal(ev)):.2e}")
+print(f"\nhyperplane:  H = {fc.mean_curvature_trace(ev):.2e}")
 
 # ----------------------------------------------------------------------
 # Ellipsoid x^2/4 + y^2 + z^2 = 1: curvature varies over the surface.
@@ -53,8 +47,7 @@ print("\nellipsoid x^2/4 + y^2 + z^2 = 1")
 for theta in (0.3, 1.0, 1.4):
     point = np.array([2.0 * np.cos(theta), np.sin(theta), 0.0])
     ev = evaluate_defining(ellipsoid, point, on_surface=True)
-    normal = unit_normal(ev)
-    shape = shape_operator(ev, normal)
+    shape = shape_operator(ev)
     oracle = weingarten_oracle(ellipsoid, point, 1e-5)
     gap = np.max(np.abs(shape.entries - oracle.entries))
     ks = ", ".join(f"{k:.6f}" for k in shape.principal_curvatures)
@@ -63,4 +56,4 @@ for theta in (0.3, 1.0, 1.4):
 
 # The two routes to H agree to rounding:
 print(f"\ntrace route vs eigenvalue route at last point: "
-      f"{abs(fc.mean_curvature_trace(ev, normal) - shape.mean):.2e}")
+      f"{abs(fc.mean_curvature_trace(ev) - shape.mean):.2e}")

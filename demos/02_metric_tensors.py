@@ -16,7 +16,7 @@ import finslercurv as fc
 a = np.array([[2.0, 0.5], [0.5, 1.0]])
 fund = fc.quadratic(a)
 for y in ([1.0, 0.0], [0.3, -1.1]):
-    g = fc.metric_tensor(fund, y).entries
+    g = fc.metric_tensor(fund, y)
     print(f"quadratic at {y}: max |g - A| = {np.max(np.abs(g - a)):.1e}")
 
 # ----------------------------------------------------------------------
@@ -24,8 +24,8 @@ for y in ([1.0, 0.0], [0.3, -1.1]):
 # its metric tensor varies with the direction.
 # ----------------------------------------------------------------------
 fund = fc.randers(np.eye(2), [0.4, 0.0])
-g_east = fc.metric_tensor(fund, [1.0, 0.0]).entries
-g_north = fc.metric_tensor(fund, [0.0, 1.0]).entries
+g_east = fc.metric_tensor(fund, [1.0, 0.0])
+g_north = fc.metric_tensor(fund, [0.0, 1.0])
 print("\nranders metric, direction (1,0):")
 print(np.round(g_east, 6))
 print("randers metric, direction (0,1):")
@@ -33,7 +33,7 @@ print(np.round(g_north, 6))
 
 # 0-homogeneity: scaling the direction leaves the tensor unchanged.
 for lam in (0.5, 2.0, 10.0):
-    g = fc.metric_tensor(fund, [lam, 0.0]).entries
+    g = fc.metric_tensor(fund, [lam, 0.0])
     print(f"  |g(lambda y) - g(y)| at lambda={lam:4.1f}: "
           f"{np.max(np.abs(g - g_east)):.1e}")
 
@@ -43,7 +43,7 @@ for lam in (0.5, 2.0, 10.0):
 # ----------------------------------------------------------------------
 fund = fc.pnorm(3, 4)
 y = np.array([1.0, 0.7, -0.4])
-g = fc.metric_tensor(fund, y).entries
+g = fc.metric_tensor(fund, y)
 eigs = np.linalg.eigvalsh(g)
 print(f"\nquartic norm metric eigenvalues at {y}: "
       + ", ".join(f"{e:.4f}" for e in eigs))

@@ -27,7 +27,6 @@ from .hypersurface import (
     evaluate_defining,
     mean_curvature_trace,
     shape_operator,
-    unit_normal,
     weingarten_oracle,
 )
 from .indicatrix import (
@@ -44,7 +43,6 @@ from .indicatrix import (
 )
 from .metrics import (
     FundamentalFunction,
-    MetricTensor,
     check_homogeneity,
     eval_F,
     euclidean,

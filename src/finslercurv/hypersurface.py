@@ -1,13 +1,14 @@
 """Curvature of an implicitly defined hypersurface.
 
 The surface is the zero level set of a defining scalar field f with
-nonvanishing gradient. The unit normal is grad f / |grad f|; the
-shape operator in an orthonormal tangent frame is the projected Hessian
-of f scaled by 1/|grad f|, and the mean curvature is the corresponding
+nonvanishing gradient. One DefiningEvaluation holds f, grad f, Hess f,
+|grad f| and the unit normal grad f / |grad f|, and the stages read only
+it: the shape operator in an orthonormal tangent frame is the projected
+Hessian of f scaled by 1/|grad f|, and the mean curvature is the
 normal-deflated trace. A finite-difference Weingarten construction
-(differencing the normal field itself) provides an independent oracle
-for the same matrix. Every stage takes one point or a (P, n) stack of
-points, and a stack gives each point the numbers it would get alone.
+(differencing the normal field itself) is an independent oracle for the
+same matrix. Every stage takes one point or a (P, n) stack of points,
+and a stack gives each point the numbers it would get alone.
 
 Sign convention: the shape operator is the derivative of the unit normal
 itself, so the unit sphere f = (|y|^2 - 1)/2, whose normal points
@@ -39,7 +40,7 @@ _below_diagonal = functools.cache(functools.partial(np.tril_indices, k=-1))
 
 @dataclass(frozen=True)
 class DefiningEvaluation:
-    """f, grad f, Hess f and |grad f| at one point (or at P stacked rows).
+    """f, grad f, Hess f, |grad f| and the unit normal at one point (or at P stacked rows).
 
     For stacked rows every field gains a leading axis of length P.
     """
@@ -49,6 +50,7 @@ class DefiningEvaluation:
     gradient: np.ndarray
     hessian: np.ndarray
     grad_norm: float
+    normal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -74,17 +76,13 @@ class ShapeOperatorMatrix:
         return float(mean) if self.entries.ndim == 2 else mean
 
 
-def _check_grad_norm(grad_norm) -> None:
-    small = _first(grad_norm, ~(np.asarray(grad_norm) > GRADIENT_FLOOR))  # NaN is small
+def _unit(gradient) -> tuple[np.ndarray, np.ndarray]:
+    """grad / |grad| and |grad| over the last axis; VanishingGradient where |grad| is small."""
+    grad_norm = _norms(gradient)
+    small = _first(grad_norm, ~(grad_norm > GRADIENT_FLOOR))  # NaN is small
     if small is not None:
         raise VanishingGradient(f"|grad f| = {small:.3e}")
-
-
-def _unit(gradient) -> np.ndarray:
-    """grad / |grad| over the last axis."""
-    grad_norm = _norms(gradient)
-    _check_grad_norm(grad_norm)
-    return gradient / grad_norm[..., None]
+    return gradient / grad_norm[..., None], grad_norm
 
 
 def defining_evaluation(y, value, gradient, hessian,
@@ -94,10 +92,9 @@ def defining_evaluation(y, value, gradient, hessian,
         off = _first(np.abs(value), ~(np.abs(value) <= ON_SURFACE_TOL))  # NaN is off
         if off is not None:
             raise OffSurface(f"|f| = {off:.3e} exceeds {ON_SURFACE_TOL}")
-    grad_norm = _norms(gradient)
-    _check_grad_norm(grad_norm)
+    normal, grad_norm = _unit(gradient)
     grad_norm = float(grad_norm) if grad_norm.ndim == 0 else grad_norm
-    return DefiningEvaluation(y, value, gradient, hessian, grad_norm)
+    return DefiningEvaluation(y, value, gradient, hessian, grad_norm, normal)
 
 
 def evaluate_defining(fld: ScalarField, y, on_surface: bool = False) -> DefiningEvaluation:
@@ -106,22 +103,23 @@ def evaluate_defining(fld: ScalarField, y, on_surface: bool = False) -> Defining
     return defining_evaluation(y, *grad_hess(fld, y), on_surface=on_surface)
 
 
-def unit_normal(ev: DefiningEvaluation) -> np.ndarray:
-    """Unit normal grad f / |grad f|, (n,) or one (P, n) row per stacked point."""
-    _check_grad_norm(ev.grad_norm)
-    return ev.gradient / np.asarray(ev.grad_norm)[..., None]
+def _tangent_dim(ev: DefiningEvaluation) -> int:
+    """n - 1, the dimension of the surface through the evaluation's points (n >= 2)."""
+    n = ev.at.shape[-1]
+    if n < 2:
+        raise DimensionMismatch("ambient dimension must be >= 2")
+    return n - 1
 
 
-def shape_operator(ev: DefiningEvaluation, normal: np.ndarray) -> ShapeOperatorMatrix:
+def shape_operator(ev: DefiningEvaluation) -> ShapeOperatorMatrix:
     """Shape-operator matrix from the projected Hessian of f.
 
     Entry (a, b) is X_a . (Hess f) X_b / |grad f| in the frame
-    complete_frame(normal) of the unit normal; the lower triangle mirrors
+    complete_frame(ev.normal) of the unit normal; the lower triangle mirrors
     the upper one, so the matrix is exactly symmetric.
     """
-    if ev.at.shape[-1] < 2:
-        raise DimensionMismatch("ambient dimension must be >= 2")
-    frame = complete_frame(normal)
+    _tangent_dim(ev)
+    frame = complete_frame(ev.normal)
     coef = 1 / np.asarray(ev.grad_norm)[..., None, None]
     basis = frame.basis
     full = coef * (basis @ ev.hessian @ basis.swapaxes(-1, -2))
@@ -131,16 +129,15 @@ def shape_operator(ev: DefiningEvaluation, normal: np.ndarray) -> ShapeOperatorM
     return ShapeOperatorMatrix(frame, entries)
 
 
-def mean_curvature_trace(ev: DefiningEvaluation, normal: np.ndarray):
+def mean_curvature_trace(ev: DefiningEvaluation):
     """Mean curvature via the normal-deflated Hessian trace.
 
     (tr Hess f - N Hess f N^T) / ((n-1) |grad f|), N the unit normal.
-    Agrees with shape_operator(...).mean to rounding; the two routes share
+    Agrees with shape_operator(ev).mean to rounding; the two routes share
     only the Hessian. A float, or one value per stacked row.
     """
-    n = ev.at.shape[-1]
-    coef = 1 / ((n - 1) * ev.grad_norm)
-    return coef * trace_reduction(ev.hessian, normal)
+    coef = 1 / (_tangent_dim(ev) * ev.grad_norm)
+    return coef * trace_reduction(ev.hessian, ev.normal)
 
 
 def weingarten_oracle(fld: ScalarField, y, h: float = 1e-5,
@@ -162,12 +159,12 @@ def weingarten_oracle(fld: ScalarField, y, h: float = 1e-5,
     y = np.asarray(y, dtype=float)
     step = _scaled_step(h, y)
     if frame is None:
-        frame = complete_frame(_unit(gradients(fld, y)[1]))
+        frame = complete_frame(_unit(gradients(fld, y)[1])[0])
     n = y.shape[-1]
     offsets = step[..., None, None, None] * frame.basis[..., None, :]  # (..., k, 1, n)
     stencil = y[..., None, None, :] + np.concatenate([offsets, -offsets], axis=-2)
     _, grads = gradients(fld, stencil.reshape(-1, n))
-    normals = _unit(grads).reshape(stencil.shape)
+    normals = _unit(grads)[0].reshape(stencil.shape)
     derivs = (normals[..., 0, :] - normals[..., 1, :]) / (2.0 * step[..., None, None])
     raw = frame.basis @ derivs.swapaxes(-1, -2)  # X_a . D_b N
     entries = 0.5 * (raw + raw.swapaxes(-1, -2))

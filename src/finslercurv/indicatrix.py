@@ -14,12 +14,12 @@ Points are processed chunk_points(n) at a time, a count sized so that
 the widest stacked array of a chunk stays within CHUNK_SLOTS: each stage
 of a report runs once per chunk on stacked rows, and the pull-back to
 adapted coordinates rides in the derivative seeds (ScalarField.pre), so
-it adds no dual arithmetic. A report chunk in which a point raises is
-redone by halves down to that point, so every point gets exactly the
-outcome it would get alone; a sampler chunk raises its error. The
-per-point records are immutable NamedTuples, built a chunk at a time. In
-verify_claims a chunk's stacked arrays go from the sampler to the
-reports to the statistics unregathered.
+it adds no dual arithmetic. A report chunk in which a point raises (an
+off-surface one under either method) is redone by halves down to it, so
+every point gets the outcome it would get alone; a sampler chunk raises.
+The per-point records are immutable NamedTuples (an IndicatrixPoint's
+metric is the g array), built a chunk at a time. In verify_claims a
+chunk's stacks pass from sampler to reports to statistics unregathered.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from .hypersurface import (
     defining_evaluation,
     mean_curvature_trace,
     shape_operator,
-    unit_normal,
     weingarten_oracle,
 )
-from .metrics import FundamentalFunction, MetricTensor, energy_field, eval_F
+from .metrics import FundamentalFunction, energy_field, eval_F
 from .numkernel import cholesky
 
 METHODS = ("hyperdual", "fd")
@@ -85,12 +84,12 @@ SAMPLING_MARGIN_FACTOR = 15.0
 class IndicatrixPoint(NamedTuple):
     """A point on the indicatrix with its metric data.
 
-    ``y_adapted = chol.T @ y`` is the point in coordinates where the metric
-    at y is the identity; it is a Euclidean unit vector.
+    ``metric`` is g(y), (n, n). ``y_adapted = chol.T @ y`` is the point in
+    coordinates where g(y) is the identity; it is a Euclidean unit vector.
     """
 
     y: np.ndarray
-    metric: MetricTensor
+    metric: np.ndarray
     chol: np.ndarray
     y_adapted: np.ndarray
 
@@ -172,9 +171,9 @@ def _indicatrix_points(fund: FundamentalFunction, rows: np.ndarray) -> _Chunk:
     _, _, g = grad_hess(energy_field(fund), rows)
     low = cholesky(g)  # SPD check and factor at once; NotPositiveDefinite propagates
     adapted = (rows[:, None, :] @ low)[:, 0, :]  # chol.T @ y per row
-    new = tuple.__new__  # C-level record construction, no Python __new__ per point
-    return _Chunk([new(IndicatrixPoint, (y, new(MetricTensor, (y, gy)), chol, z))
-                   for y, gy, chol, z in zip(rows, g, low, adapted)], low, adapted)
+    # C-level record construction, no Python __new__ per point
+    return _Chunk(list(map(partial(tuple.__new__, IndicatrixPoint), zip(rows, g, low, adapted))),
+                  low, adapted)
 
 
 def indicatrix_point(fund: FundamentalFunction, y) -> IndicatrixPoint:
@@ -281,10 +280,9 @@ def _chunk_reports(fund, chunk: _Chunk, method, fd_step) -> tuple[list, np.ndarr
     fld = _adapted_field(fund, chunk.chol)
     z = chunk.z
     derive = grad_hess if method == "hyperdual" else lambda f, y: fd_grad_hess(f, y, fd_step)
-    ev = defining_evaluation(z, *derive(fld, z), on_surface=method == "hyperdual")
-    normal = unit_normal(ev)  # outward: the radius vector
-    h_trace = mean_curvature_trace(ev, normal)
-    shape = shape_operator(ev, normal)
+    ev = defining_evaluation(z, *derive(fld, z), on_surface=True)
+    h_trace = mean_curvature_trace(ev)
+    shape = shape_operator(ev)
     oracle = weingarten_oracle(fld, z, _oracle_steps(fld.pre), frame=shape.frame)
     principal = shape.principal_curvatures
     columns = np.array([
@@ -294,7 +292,7 @@ def _chunk_reports(fund, chunk: _Chunk, method, fd_step) -> tuple[list, np.ndarr
         np.abs(principal - 1.0).max(axis=-1),
         np.abs(shape.entries - oracle.entries).max(axis=(-2, -1)),
         np.abs(h_trace - shape.mean),
-        np.abs(normal - z).max(axis=-1),
+        np.abs(ev.normal - z).max(axis=-1),  # outward: the radius vector
         np.abs(ev.grad_norm - 1.0),
     ])
     # one list per residual, so that the records hold Python floats

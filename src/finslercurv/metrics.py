@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -179,13 +178,6 @@ def mroot(dim: int, m, guard_margin: float = DEFAULT_GUARD_MARGIN) -> Fundamenta
     return _power_sum("mroot", dim, m, guard_margin)
 
 
-class MetricTensor(NamedTuple):
-    """g_ij(y): half the Hessian of F^2, at one point or at stacked rows."""
-
-    at: np.ndarray
-    entries: np.ndarray
-
-
 def energy_field(fund: FundamentalFunction) -> ScalarField:
     """The scalar field y -> F(y)^2 / 2, whose Hessian is the metric tensor."""
     def func(z):
@@ -205,15 +197,14 @@ def eval_F(fund: FundamentalFunction, y):
     return float(values[0]) if y.ndim == 1 else values
 
 
-def metric_tensor(fund: FundamentalFunction, y) -> MetricTensor:
-    """The metric generated by F at y (a point or stacked rows).
+def metric_tensor(fund: FundamentalFunction, y) -> np.ndarray:
+    """g_ij(y), half the Hessian of F^2: (n, n) at a point, (R, n, n) at stacked rows.
 
     Raises NotPositiveDefinite if degenerate.
     """
-    y = np.asarray(y, dtype=float)
-    _, _, g = grad_hess(energy_field(fund), y)
+    _, _, g = grad_hess(energy_field(fund), np.asarray(y, dtype=float))
     cholesky(g)  # SPD check; NotPositiveDefinite propagates
-    return MetricTensor(y, g)
+    return g
 
 
 def check_homogeneity(fund: FundamentalFunction, y, lam: float):
@@ -232,8 +223,8 @@ def check_homogeneity(fund: FundamentalFunction, y, lam: float):
     f0 = eval_F(fund, y)
     f1 = eval_F(fund, scaled)
     res_f = abs(f1 - lam * f0) / (lam * f0)
-    g0 = metric_tensor(fund, y).entries
-    g1 = metric_tensor(fund, scaled).entries
+    g0 = metric_tensor(fund, y)
+    g1 = metric_tensor(fund, scaled)
     res_g = float(np.max(np.abs(g1 - g0)) / np.max(np.abs(g0)))
     return res_f, res_g
 
@@ -276,8 +267,6 @@ def load_matrix_file(path: str) -> np.ndarray:
         if order < 1 or entries.shape != (order * order,):
             raise ValueError("entries length must be order**2")
         return entries.reshape(order, order)
-    except UsageError:
-        raise
     except Exception as exc:
         raise UsageError(f"cannot read matrix file {path!r}: {exc}") from exc
 

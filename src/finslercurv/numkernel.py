@@ -75,14 +75,12 @@ class TangentFrame:
     (P, n) and ``basis`` of shape (P, n-1, n).
     """
 
-    ambient_dim: int
     normal: np.ndarray
     basis: np.ndarray
 
     def __post_init__(self):
-        n = self.ambient_dim
-        if (self.normal.shape[-1:] != (n,)
-                or self.basis.shape != self.normal.shape[:-1] + (n - 1, n)):
+        n = self.normal.shape[-1] if self.normal.ndim else 0  # no basis has shape (-1, 0)
+        if self.basis.shape != self.normal.shape[:-1] + (n - 1, n):
             raise DimensionMismatch("frame arrays have inconsistent shapes")
         gram = self.basis @ self.basis.swapaxes(-1, -2)
         # initial=0.0 lets an empty stack pass; max still propagates NaN, which fails
@@ -143,7 +141,7 @@ def complete_frame(normal) -> TangentFrame:
     normal = normal.copy()
     normal.flags.writeable = False
     basis.flags.writeable = False
-    return TangentFrame(n, normal, basis)
+    return TangentFrame(normal, basis)
 
 
 def quadratic_form(a, u, v):

@@ -45,7 +45,8 @@ RTOL = 1e-6
 ATOL = 1e-4
 
 # A decimal number (sign and exponent included) or a non-finite float word.
-NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|NaN|inf|Infinity)\b))")
+NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|\b(?:nan|NaN|inf|Infinity)\b))")
 
 _FORMATTED = {  # the CI smoke's four commands, each in every format
     "verify-euclidean": ["verify", "--metric", "euclidean", "--dim", "3", "--samples", "5"],
@@ -159,7 +160,7 @@ def _numbers_differ(want: str, got: str) -> str | None:
 
 def check(case: dict, code: int, stdout: str, stderr: str, mode: str) -> None:
     """Assert that a run's exit code and streams match ``case`` under ``mode``."""
-    assert code == case["exit"], f"{mode} replay: exit {code}, golden {case['exit']}"
+    assert code == case["exit"], f"{mode} replay: exit {code}, golden {case['exit']}\n{stderr}"
     for stream, got in (("stdout", stdout), ("stderr", stderr)):
         want = "\n".join(case[stream])
         if mode == "exact":

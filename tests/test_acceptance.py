@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import finslercurv as fc
-from finslercurv.hypersurface import evaluate_defining, shape_operator, unit_normal, weingarten_oracle
+from finslercurv.hypersurface import evaluate_defining, shape_operator, weingarten_oracle
 from finslercurv.indicatrix import adapted_field
 from finslercurv.numkernel import projected_trace, trace_reduction
 
@@ -95,7 +95,7 @@ def test_criterion_5_weingarten_oracle_agreement(sweep, capsys):
         fld = adapted_field(fund, point)
         z = point.y_adapted
         ev = evaluate_defining(fld, z, on_surface=True)
-        exact = shape_operator(ev, unit_normal(ev)).entries
+        exact = shape_operator(ev).entries
         # steps where truncation dominates rounding, so halving shows the order
         coarse = np.max(np.abs(weingarten_oracle(fld, z, 4e-4).entries - exact))
         fine = np.max(np.abs(weingarten_oracle(fld, z, 2e-4).entries - exact))
@@ -116,7 +116,7 @@ def test_criterion_6_sphere_and_hyperplane_sanity(capsys):
             u = rng.standard_normal(3)
             y = radius * u / np.linalg.norm(u)
             ev = evaluate_defining(fld, y, on_surface=True)
-            h = fc.mean_curvature_trace(ev, unit_normal(ev))
+            h = fc.mean_curvature_trace(ev)
             worst_sphere = max(worst_sphere, abs(h - 1.0 / radius))
     plane = fc.ScalarField(3, lambda z: z[0] + 2.0 * z[1] - z[2] - 0.7)
     worst_plane = 0.0
@@ -125,7 +125,7 @@ def test_criterion_6_sphere_and_hyperplane_sanity(capsys):
         y[2] = y[0] + 2.0 * y[1] - 0.7
         ev = evaluate_defining(plane, y, on_surface=True)
         worst_plane = max(worst_plane,
-                          abs(fc.mean_curvature_trace(ev, unit_normal(ev))))
+                          abs(fc.mean_curvature_trace(ev)))
     ok = worst_sphere <= 1e-10 and worst_plane <= 1e-12
     announce(capsys, "criterion 6 (spheres H = 1/r, hyperplanes H = 0)",
              ok, f"sphere residual {worst_sphere:.3e}, plane residual {worst_plane:.3e}")

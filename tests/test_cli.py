@@ -184,7 +184,7 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == cli._csv_rows(
             points, ind.adapted_reports(fund, points), fund)
 
-    def test_determinism_across_threads(self, tmp_path):
+    def test_repeated_runs_write_identical_files(self, tmp_path):
         outputs = []
         for _ in range(3):
             path = tmp_path / f"report_{len(outputs)}.json"

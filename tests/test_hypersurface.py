@@ -76,37 +76,31 @@ class TestEvaluateDefining:
         hessian = np.zeros(gradient.shape + (2,))
         with pytest.raises(VanishingGradient, match=r"^\|grad f\| = nan$"):
             hypersurface.defining_evaluation(y, np.zeros(gradient.shape[:-1]), gradient, hessian)
-        ev = hypersurface.DefiningEvaluation(y, 0.0, gradient, hessian, np.sqrt(
-            (gradient * gradient).sum(axis=-1)))
-        with pytest.raises(VanishingGradient, match=r"^\|grad f\| = nan$"):
-            fc.unit_normal(ev)
 
 
 class TestUnitNormal:
     def test_sphere_radius_vector(self):
         y = np.array([0.6, 0.0, 0.8])
         ev = fc.evaluate_defining(sphere_field(), y, on_surface=True)
-        normal = fc.unit_normal(ev)
-        assert np.max(np.abs(normal - y)) <= 1e-15
+        assert np.max(np.abs(ev.normal - y)) <= 1e-15
 
     def test_plane(self):
         a = np.array([3.0, 0.0, 4.0])
         ev = fc.evaluate_defining(plane_field(a, 0.0), [0.0, 1.0, 0.0], on_surface=True)
-        normal = fc.unit_normal(ev)
-        assert np.max(np.abs(normal - a / 5.0)) <= 1e-15
+        assert np.max(np.abs(ev.normal - a / 5.0)) <= 1e-15
 
 
 class TestShapeOperator:
     def test_unit_sphere(self):
         ev = fc.evaluate_defining(sphere_field(), [0.0, 0.0, 1.0], on_surface=True)
-        shape = fc.shape_operator(ev, fc.unit_normal(ev))
+        shape = fc.shape_operator(ev)
         assert np.max(np.abs(shape.entries - np.eye(2))) <= 1e-15
         assert np.allclose(shape.principal_curvatures, [1.0, 1.0], rtol=0, atol=1e-14)
         assert shape.mean == 1.0
 
     def test_radius_two_sphere(self):
         ev = fc.evaluate_defining(sphere_field(2.0), [2.0, 0.0, 0.0], on_surface=True)
-        shape = fc.shape_operator(ev, fc.unit_normal(ev))
+        shape = fc.shape_operator(ev)
         assert abs(shape.mean - 0.5) <= 1e-15
 
     def test_ellipsoid_matches_oracle(self):
@@ -114,7 +108,7 @@ class TestShapeOperator:
         for u, v in ((0.7, 0.3), (1.2, 2.1), (2.0, 4.0)):
             y = ellipsoid_point(u, v)
             ev = fc.evaluate_defining(fld, y, on_surface=True)
-            shape = fc.shape_operator(ev, fc.unit_normal(ev))
+            shape = fc.shape_operator(ev)
             oracle = fc.weingarten_oracle(fld, y, 1e-5)
             assert np.max(np.abs(shape.entries - oracle.entries)) <= 1e-5
             assert np.max(np.abs(np.sort(shape.principal_curvatures)
@@ -125,7 +119,7 @@ class TestShapeOperator:
         fld = ellipsoid_field()
         y = np.array([2.0, 0.0, 0.0])
         ev = fc.evaluate_defining(fld, y, on_surface=True)
-        shape = fc.shape_operator(ev, fc.unit_normal(ev))
+        shape = fc.shape_operator(ev)
         oracle = fc.weingarten_oracle(fld, y, 1e-5)
         assert abs(shape.mean - oracle.mean) <= 1e-6
 
@@ -143,9 +137,9 @@ class TestShapeOperator:
         basis = np.broadcast_to(np.eye(n)[1:], (6, n - 1, n))  # exact: e_2, ..., e_n
         normal = np.broadcast_to(np.eye(n)[0], (6, n))  # complete_frame(e_1) is exactly basis
         grad_norm = np.array([-np.inf, 2.0, 0.5, 3.0, 1e-3, 1.0])
-        ev = fc.DefiningEvaluation(normal, np.zeros(6), normal, hess, grad_norm)
+        ev = fc.DefiningEvaluation(normal, np.zeros(6), normal, hess, grad_norm, normal)
         with np.errstate(over="ignore", invalid="ignore"):
-            shape = fc.shape_operator(ev, normal)
+            shape = fc.shape_operator(ev)
             coef = 1 / grad_norm[:, None, None]
             full = coef * (basis @ hess @ np.swapaxes(basis, -1, -2))
             want = np.triu(full) + np.swapaxes(np.triu(full, 1), -1, -2)
@@ -158,12 +152,12 @@ class TestShapeOperator:
 class TestMeanCurvatureTrace:
     def test_unit_sphere(self):
         ev = fc.evaluate_defining(sphere_field(), [0.0, 0.0, 1.0], on_surface=True)
-        assert fc.mean_curvature_trace(ev, fc.unit_normal(ev)) == 1.0
+        assert fc.mean_curvature_trace(ev) == 1.0
 
     def test_hyperplane(self):
         ev = fc.evaluate_defining(plane_field([1.0, 1.0, 1.0], 0.3),
                                   [0.1, 0.1, 0.1], on_surface=True)
-        assert fc.mean_curvature_trace(ev, fc.unit_normal(ev)) == 0.0
+        assert fc.mean_curvature_trace(ev) == 0.0
 
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 5.0])
     def test_sphere_family(self, radius):
@@ -172,8 +166,7 @@ class TestMeanCurvatureTrace:
         y = radius * d / np.linalg.norm(d)
         fld = sphere_field(radius)
         ev = fc.evaluate_defining(fld, y, on_surface=True)
-        normal = fc.unit_normal(ev)
-        h = fc.mean_curvature_trace(ev, normal)
+        h = fc.mean_curvature_trace(ev)
         assert abs(h - 1.0 / radius) <= 1e-10
         assert abs(h * radius - 1.0) <= 1e-10
         oracle = fc.weingarten_oracle(fld, y, 1e-5)
@@ -184,10 +177,21 @@ class TestMeanCurvatureTrace:
         for u, v in ((0.4, 0.9), (1.5, 3.3), (2.6, 5.0)):
             y = ellipsoid_point(u, v)
             ev = fc.evaluate_defining(fld, y, on_surface=True)
-            normal = fc.unit_normal(ev)
-            h_trace = fc.mean_curvature_trace(ev, normal)
-            h_eigen = fc.shape_operator(ev, normal).mean
+            h_trace = fc.mean_curvature_trace(ev)
+            h_eigen = fc.shape_operator(ev).mean
             assert abs(h_trace - h_eigen) <= 1e-10
+
+
+@pytest.mark.parametrize("y", [[1.0], [[1.0], [-1.0]]], ids=["point", "rows"])
+@pytest.mark.parametrize("stage", [fc.mean_curvature_trace, fc.shape_operator],
+                         ids=lambda stage: stage.__name__)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stages_need_two_dimensions(stage, y):
+    # the points {-1, 1} of a line have no tangent space to take a trace or a frame in
+    ev = fc.evaluate_defining(fc.ScalarField(1, lambda z: (z[0] * z[0] - 1.0) * 0.5), y,
+                              on_surface=True)
+    with pytest.raises(fc.DimensionMismatch, match="^ambient dimension must be >= 2$"):
+        stage(ev)
 
 
 class TestWeingartenOracle:
@@ -232,7 +236,7 @@ class TestWeingartenOracle:
         d = rng.standard_normal(4)
         y = d / np.sqrt(d @ a @ d)
         ev = fc.evaluate_defining(fld, y, on_surface=True)
-        shape = fc.shape_operator(ev, fc.unit_normal(ev))
+        shape = fc.shape_operator(ev)
         oracle = fc.weingarten_oracle(fld, y, 1e-5)
         assert np.max(np.abs(shape.entries - oracle.entries)) <= 1e-6
 
@@ -240,7 +244,7 @@ class TestWeingartenOracle:
         fld = ellipsoid_field()
         y = ellipsoid_point(0.7, 0.3)
         ev = fc.evaluate_defining(fld, y, on_surface=True)
-        shape = fc.shape_operator(ev, fc.unit_normal(ev))
+        shape = fc.shape_operator(ev)
         gap_coarse = np.max(np.abs(
             fc.weingarten_oracle(fld, y, 4e-4).entries - shape.entries))
         gap_fine = np.max(np.abs(
@@ -255,7 +259,6 @@ class TestWeingartenOracle:
         for u_par, v_par in ((0.6, 1.1), (1.9, 4.2)):
             y = ellipsoid_point(u_par, v_par)
             ev = fc.evaluate_defining(fld, y, on_surface=True)
-            normal = fc.unit_normal(ev)
             oracle = fc.weingarten_oracle(fld, y, 1e-5)
             frame = oracle.frame
             for _ in range(10):
@@ -283,8 +286,7 @@ EMPTY, EMPTY_MATRICES = np.zeros((0, N)), np.zeros((0, N, N))
 
 
 def _on_empty_stack(fld):
-    ev = fc.evaluate_defining(fld, EMPTY)
-    return ev, fc.unit_normal(ev)
+    return fc.evaluate_defining(fld, EMPTY)
 
 
 def _with_eigenvalues(shape):
@@ -305,24 +307,22 @@ EMPTY_CASES = {  # name: (result on a (0, N) stack, its shapes)
                           ((0,), (0, N), (0, N, N))),
     "fd_grad_hess pre-map": (lambda fund, fld: fc.fd_grad_hess(_no_points(fld), EMPTY),
                              ((0,), (0, N), (0, N, N))),
-    "metric_tensor": (lambda fund, fld: tuple(fc.metric_tensor(fund, EMPTY)),
-                      ((0, N), (0, N, N))),
+    "metric_tensor": (lambda fund, fld: fc.metric_tensor(fund, EMPTY), (0, N, N)),
     "eval_F": (lambda fund, fld: fc.eval_F(fund, EMPTY), (0,)),
     "normalize_to_indicatrix": (lambda fund, fld: fc.normalize_to_indicatrix(fund, EMPTY),
                                 (0, N)),
-    "evaluate_defining": (lambda fund, fld: _on_empty_stack(fld)[0], {
+    "evaluate_defining": (lambda fund, fld: _on_empty_stack(fld), {
         "at": (0, N), "value": (0,), "gradient": (0, N), "hessian": (0, N, N),
-        "grad_norm": (0,)}),
-    "unit_normal": (lambda fund, fld: _on_empty_stack(fld)[1], (0, N)),
-    "mean_curvature_trace": (lambda fund, fld: fc.mean_curvature_trace(*_on_empty_stack(fld)),
+        "grad_norm": (0,), "normal": (0, N)}),
+    "mean_curvature_trace": (lambda fund, fld: fc.mean_curvature_trace(_on_empty_stack(fld)),
                              (0,)),
     "shape_operator": (lambda fund, fld: _with_eigenvalues(
-        fc.shape_operator(*_on_empty_stack(fld))), ((0, N - 1, N - 1), (0, N - 1), (0,))),
+        fc.shape_operator(_on_empty_stack(fld))), ((0, N - 1, N - 1), (0, N - 1), (0,))),
     "weingarten_oracle": (lambda fund, fld: _with_eigenvalues(fc.weingarten_oracle(fld, EMPTY)),
                           ((0, N - 1, N - 1), (0, N - 1), (0,))),
     "adapted_field": (lambda fund, fld: indicatrix.adapted_field(fund, []).pre, (0, N, N)),
     "complete_frame": (lambda fund, fld: fc.complete_frame(EMPTY),
-                       {"ambient_dim": (), "normal": (0, N), "basis": (0, N - 1, N)}),
+                       {"normal": (0, N), "basis": (0, N - 1, N)}),
     "cholesky": (lambda fund, fld: fc.cholesky(EMPTY_MATRICES), (0, N, N)),
     "trace_reduction": (lambda fund, fld: fc.trace_reduction(EMPTY_MATRICES, EMPTY), (0,)),
     "quadratic_form": (lambda fund, fld: fc.quadratic_form(EMPTY_MATRICES, EMPTY, EMPTY), (0,)),

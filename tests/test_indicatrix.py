@@ -21,7 +21,7 @@ BAD_POINT_CASES = [(bad, method) for method in ind.METHODS
 def report_bits(rep):
     """Every number of a report, as exact hex strings."""
     point = rep.point
-    arrays = (point.y, point.metric.entries, point.chol, point.y_adapted, rep.principal)
+    arrays = (point.y, point.metric, point.chol, point.y_adapted, rep.principal)
     scalars = (rep.H, rep.residual_H, rep.residual_trace, rep.residual_umbilic,
                rep.oracle_gap, rep.path_gap, rep.normal_residual, rep.grad_norm_residual)
     return ([float(v).hex() for a in arrays for v in np.ravel(a)]
@@ -49,7 +49,7 @@ class TestDefiningField:
         for _ in range(5):
             y = rng.standard_normal(3)
             _, _, hess = fc.grad_hess(fc.defining_field(fund), y)
-            g = fc.metric_tensor(fund, y).entries
+            g = fc.metric_tensor(fund, y)
             assert np.max(np.abs(hess - g)) <= 1e-12 * np.max(np.abs(g))
 
 
@@ -70,8 +70,8 @@ class TestSampling:
             assert abs(fc.eval_F(fund, point.y) - 1.0) <= 1e-12
             assert abs(np.linalg.norm(point.y_adapted) - 1.0) <= 1e-8
             low = point.chol
-            assert np.max(np.abs(low @ low.T - point.metric.entries)) <= 1e-12 * \
-                np.max(np.abs(point.metric.entries))
+            assert np.max(np.abs(low @ low.T - point.metric)) <= 1e-12 * \
+                np.max(np.abs(point.metric))
 
     def test_large_sweep_on_surface(self):
         fund = fc.euclidean(3)
@@ -244,13 +244,11 @@ class TestAdaptedReport:
             # just inside the guard band around y_3 = 0: the stencil leaves it
             y = fc.normalize_to_indicatrix(fund, [1.0, 0.8, 0.010001 * np.sqrt(1.64)])
             points[5] = fc.indicatrix_point(fund, y)
-        # fd checks no on-surface condition: an off-surface point gets a report
-        fails = not (method == "fd" and bad == "off_surface")
         batch = fc.adapted_reports(fund, points, method=method)
         failures = [index for index, item in enumerate(batch) if isinstance(item, Exception)]
-        assert failures == ([5] if fails else [])
+        assert failures == [5]
         for index, point in enumerate(points):
-            if index == 5 and fails:
+            if index == 5:
                 with pytest.raises(Exception) as solo:
                     fc.adapted_report(fund, point, method=method)
                 assert type(batch[5]) is solo.type
@@ -390,7 +388,7 @@ class TestVerifyClaims:
                               *((summary.reports[m], fc.CurvatureReport) for m in ind.METHODS)]:
             assert type(records) is list
             assert all(type(record) is kind for record in records)
-        assert all(type(p.metric) is fc.MetricTensor for p in points + summary.points)
+        assert all(type(p.metric) is np.ndarray for p in points + summary.points)
 
     def test_value_calls_do_not_grow_with_points(self, monkeypatch):
         calls = []
@@ -653,7 +651,6 @@ class TestAggregate:
 
 
 RECORD_FIELDS = {
-    fc.MetricTensor: ("at", "entries"),
     fc.IndicatrixPoint: ("y", "metric", "chol", "y_adapted"),
     fc.CurvatureReport: ("point", "H", "principal", "residual_H", "residual_trace",
                          "residual_umbilic", "method", "oracle_gap", "path_gap",
@@ -666,8 +663,7 @@ class TestRecords:
     def records(self):
         fund = catalog(3)["pnorm"]
         rep = fc.adapted_report(fund, fc.sample_indicatrix(fund, 1, 2)[0])
-        return {fc.MetricTensor: rep.point.metric, fc.IndicatrixPoint: rep.point,
-                fc.CurvatureReport: rep}
+        return {fc.IndicatrixPoint: rep.point, fc.CurvatureReport: rep}
 
     @pytest.mark.parametrize("kind", list(RECORD_FIELDS), ids=lambda kind: kind.__name__)
     def test_field_order(self, records, kind):

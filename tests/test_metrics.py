@@ -147,7 +147,7 @@ class TestConstruction:
 
 class TestMetricTensor:
     def test_euclidean_identity(self):
-        g = fc.metric_tensor(fc.euclidean(3), [0.2, -1.1, 0.4]).entries
+        g = fc.metric_tensor(fc.euclidean(3), [0.2, -1.1, 0.4])
         assert np.max(np.abs(g - np.eye(3))) <= 1e-12
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -155,13 +155,13 @@ class TestMetricTensor:
         a = seeded_spd(dim, 31)
         fund = fc.quadratic(a)
         for y in interior_points(fund, 10, 77):
-            g = fc.metric_tensor(fund, y).entries
+            g = fc.metric_tensor(fund, y)
             assert np.max(np.abs(g - a)) <= 1e-12 * np.max(np.abs(a))
 
     def test_randers_matches_fd(self):
         fund = fc.randers(np.eye(2), [0.3, 0.0])
         y = np.array([1.0, 0.0])
-        g = fc.metric_tensor(fund, y).entries
+        g = fc.metric_tensor(fund, y)
         _, _, g_fd = fc.fd_grad_hess(energy_field(fund), y, 1e-5)
         assert np.max(np.abs(g - g_fd)) <= 1e-6
 
@@ -170,10 +170,10 @@ class TestMetricTensor:
     def test_spd_and_zero_homogeneous(self, family, dim):
         fund = catalog(dim)[family]
         for index, y in enumerate(interior_points(fund, 100, 500 + dim)):
-            g = fc.metric_tensor(fund, y).entries  # SPD check inside
+            g = fc.metric_tensor(fund, y)  # SPD check inside
             if index % 10 == 0:
                 for lam in (0.5, 2.0, 10.0):
-                    g_scaled = fc.metric_tensor(fund, lam * y).entries
+                    g_scaled = fc.metric_tensor(fund, lam * y)
                     assert np.max(np.abs(g_scaled - g)) <= 1e-9 * np.max(np.abs(g))
 
     @pytest.mark.parametrize("family", ("euclidean", "quadratic", "randers", "pnorm", "mroot"))

@@ -140,9 +140,9 @@ class TestInputChecks:
 
     def test_nan_frame_rejected(self):
         with pytest.raises(ValueError, match="^tangent basis is not orthonormal$"):
-            fc.TangentFrame(2, np.array([1.0, 0.0]), np.array([[np.nan, 1.0]]))
+            fc.TangentFrame(np.array([1.0, 0.0]), np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError, match="^tangent basis is not orthogonal to the normal$"):
-            fc.TangentFrame(2, np.array([np.nan, 0.0]), np.array([[0.0, 1.0]]))
+            fc.TangentFrame(np.array([np.nan, 0.0]), np.array([[0.0, 1.0]]))
 
     def test_unit_tolerance_boundary(self):
         # within UNIT_TOL of length 1 passes, on one vector and on a stack
