@@ -164,9 +164,11 @@ def check(case: dict, code: int, stdout: str, stderr: str, mode: str) -> None:
     for stream, got in (("stdout", stdout), ("stderr", stderr)):
         want = "\n".join(case[stream])
         if mode == "exact":
-            diff = "\n".join(list(difflib.unified_diff(
-                want.split("\n"), got.split("\n"), "golden", "replay", lineterm=""))[:40])
-            assert got == want, f"exact replay: {stream} differs\n{diff}"
+            if got != want:
+                diff = difflib.unified_diff(want.split("\n"), got.split("\n"), "golden",
+                                            "replay", lineterm="")
+                raise AssertionError(f"exact replay: {stream} differs\n"
+                                     + "\n".join(list(diff)[:40]))
         else:
             problem = _numbers_differ(want, got)
             assert problem is None, f"tolerant replay: {stream} {problem}"
