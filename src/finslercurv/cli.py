@@ -3,7 +3,7 @@
 Subcommands:
   verify      sample the indicatrix of a metric and check the
               constant-curvature claims against a tolerance
-  curvature   single-point curvature report on the indicatrix
+  curvature   curvature report at the indicatrix point along --point
   sample      emit seeded indicatrix points with their curvature
   lemma-test  randomized cross-check of the normal-deflated trace
               against the explicit projection route
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import indicatrix as ind
 from .autodiff import check_step
-from .exceptions import DomainViolation, FinslerError, UsageError
+from .exceptions import FinslerError, UsageError
 from .metrics import eval_F, parse_metric_spec
 from .numkernel import projected_trace, trace_reduction
 
@@ -219,29 +219,13 @@ def _run_verify(args):
 
 def _run_curvature(args):
     fund = args.fund
-    y = args.point
-    big = float(np.abs(y).max())
-    finite = 0.0 < big < np.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, point as given
-        f_val = eval_F(fund, y) if 2.0 ** -100 <= big <= 2.0 ** 100 or not finite else np.nan
-        if not 0.0 < f_val < np.inf and finite:  # tiny, huge or overflowing:
-            y = np.ldexp(y, -round(np.log2(big)))  # divide exactly by a power of two near big
-            if not fund.guard_rows(y[None])[0]:
-                raise DomainViolation(f"point {args.point} is outside the guarded domain")
-            f_val = eval_F(fund, y)
-    if not 0.0 < f_val < np.inf:  # also where a coordinate is not finite
-        raise DomainViolation(f"cannot scale point {list(map(float, args.point))} onto the "
-                              f"indicatrix: F = {f_val}")
-    normalized = y is not args.point or abs(f_val - 1.0) > 1e-10
-    if normalized:
-        y = y / f_val  # normalize_to_indicatrix, with F already evaluated
-    point = ind.indicatrix_point(fund, y)
+    point = ind.indicatrix_point(fund, args.point)
     rep = ind.adapted_report(fund, point, method=args.method, fd_step=args.fd_step)
     ok = ind._aggregate(args.method, [rep], args.tol).passed  # verify's rule
     record = {
-        "metric": args.metric_spec, "dim": fund.dim, "point": [float(v) for v in y],
-        "normalized": normalized, "method": args.method, "H": rep.H,
-        "principal_curvatures": [float(v) for v in rep.principal],
+        "metric": args.metric_spec, "dim": fund.dim, "point": point.y.tolist(),
+        "normalized": not np.array_equal(point.y, args.point), "method": args.method,
+        "H": rep.H, "principal_curvatures": [float(v) for v in rep.principal],
         "residual_H": rep.residual_H, "residual_trace": rep.residual_trace,
         "residual_umbilic": rep.residual_umbilic, "oracle_gap": rep.oracle_gap,
         "pass": ok,

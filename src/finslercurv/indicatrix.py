@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import ScalarField, check_step, fd_grad_hess, grad_hess
+from .autodiff import ScalarField, check_step, fd_grad_hess, grad_hess, point_rows
 from .exceptions import DomainViolation, FinslerError, RejectionOverflow
 from .hypersurface import (
     defining_evaluation,
@@ -117,9 +117,35 @@ def defining_field(fund: FundamentalFunction) -> ScalarField:
 
 
 def normalize_to_indicatrix(fund: FundamentalFunction, direction) -> np.ndarray:
-    """Scale a direction (or each row of a stack) onto the indicatrix: y = d / F(d)."""
-    d = np.asarray(direction, dtype=float)
-    return d / np.asarray(eval_F(fund, d))[..., None]
+    """Scale a direction (or each row of a stack) onto the indicatrix, y = d / F(d): a row whose
+    largest entry lies outside [2^-100, 2^100], or whose F over- or underflows, is first divided
+    exactly by the power of two nearest that entry. A row with |F - 1| <= 1e-10 comes back as
+    given; one off the guard or with F not in (0, inf) raises DomainViolation naming it."""
+    rows = point_rows(direction, fund.dim)
+    big = np.abs(rows).max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an F that over- or underflows is caught
+        if len(rows) > 1 and 2.0 ** -100 <= big.min() and big.max() <= 2.0 ** 100:
+            f = eval_F(fund, rows)  # a stack in the window at once; one row is cheaper alone
+            if 0.0 < f.min() and f.max() < np.inf:
+                f[np.abs(f - 1.0) <= 1e-10] = 1.0  # y / 1.0 is the row as given
+                return (rows / f[:, None]).reshape(np.shape(direction))
+        scaled = [_scaled_row(fund, row, b) for row, b in zip(rows, big.tolist())]
+    return np.array(scaled).reshape(np.shape(direction))
+
+
+def _scaled_row(fund: FundamentalFunction, d: np.ndarray, big: float) -> np.ndarray:
+    """normalize_to_indicatrix of one row ``d``, whose largest entry is ``big``."""
+    finite = 0.0 < big < np.inf
+    y = d
+    f = eval_F(fund, d) if 2.0 ** -100 <= big <= 2.0 ** 100 or not finite else np.nan
+    if not 0.0 < f < np.inf and finite:  # tiny, huge or overflowing
+        y = np.ldexp(d, -round(np.log2(big)))  # divide exactly by a power of two near big
+        if not fund.guard(y):
+            raise DomainViolation(f"point {d} is outside the guarded domain")
+        f = eval_F(fund, y)
+    if not 0.0 < f < np.inf:  # also where a coordinate is not finite
+        raise DomainViolation(f"cannot scale point {d.tolist()} onto the indicatrix: F = {f}")
+    return y if y is d and abs(f - 1.0) <= 1e-10 else y / f
 
 
 def _per_chunk(compute, items, dim: int) -> list:
@@ -166,8 +192,9 @@ def _gathered(points: list) -> _Chunk:
                   np.array([p.y_adapted for p in points]))
 
 
-def _indicatrix_points(fund: FundamentalFunction, rows: np.ndarray) -> _Chunk:
-    """IndicatrixPoints for (P, n) rows on the indicatrix, one batched evaluation."""
+def _indicatrix_points(fund: FundamentalFunction, directions: np.ndarray) -> _Chunk:
+    """IndicatrixPoints in the directions of (P, n) rows (normalize_to_indicatrix), batched."""
+    rows = normalize_to_indicatrix(fund, directions)
     _, _, g = grad_hess(energy_field(fund), rows)
     low = cholesky(g)  # SPD check and factor at once; NotPositiveDefinite propagates
     adapted = (rows[:, None, :] @ low)[:, 0, :]  # chol.T @ y per row
@@ -176,9 +203,9 @@ def _indicatrix_points(fund: FundamentalFunction, rows: np.ndarray) -> _Chunk:
                   low, adapted)
 
 
-def indicatrix_point(fund: FundamentalFunction, y) -> IndicatrixPoint:
-    """Attach metric, Cholesky factor and adapted coordinates to a point."""
-    return _indicatrix_points(fund, np.asarray(y, dtype=float)[None]).points[0]
+def indicatrix_point(fund: FundamentalFunction, direction) -> IndicatrixPoint:
+    """The indicatrix point in ``direction`` (normalize_to_indicatrix) with its metric data."""
+    return _indicatrix_points(fund, np.asarray(direction, dtype=float)[None]).points[0]
 
 
 def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[IndicatrixPoint]:
@@ -224,8 +251,7 @@ def _sample_chunks(fund: FundamentalFunction, count: int, seed: int) -> list[_Ch
     if missed.any():
         raise DomainViolation(f"draw {missed.argmax()} misses the sampling guard "
                               f"min|y_i| >= {margin:g}*|y| at dim {fund.dim}")
-    return _per_chunk(lambda rows: _indicatrix_points(fund, normalize_to_indicatrix(fund, rows)),
-                      draws, fund.dim)
+    return _per_chunk(partial(_indicatrix_points, fund), draws, fund.dim)
 
 
 def adapted_field(fund: FundamentalFunction, point) -> ScalarField:

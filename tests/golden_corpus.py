@@ -7,7 +7,7 @@ Each case is one file ``tests/golden/<name>.json`` holding the argv after
 stdout and stderr as lists of lines (joined by "\\n", they give the streams
 back byte for byte). The corpus is written by running every case in a fresh
 interpreter from the root of the checkout, with ``PYTHONPATH=src`` and
-``PYTHONWARNINGS=error::RuntimeWarning`` as in the CI smoke;
+``PYTHONWARNINGS=error::RuntimeWarning``, so a numpy warning fails the run;
 ``provenance.json`` records the Python, numpy and platform it ran on.
 
 A replay compares in one of two modes (see ``replay_mode``):
@@ -48,7 +48,7 @@ ATOL = 1e-4
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|\b(?:nan|NaN|inf|Infinity)\b))")
 
-_FORMATTED = {  # the CI smoke's four commands, each in every format
+_FORMATTED = {  # one command per subcommand, each in every format
     "verify-euclidean": ["verify", "--metric", "euclidean", "--dim", "3", "--samples", "5"],
     "curvature-pnorm": ["curvature", "--metric", "pnorm:p=4", "--dim", "3",
                         "--point", "1,-2,1.5"],
@@ -99,6 +99,12 @@ CLI_CASES = {
                                 "--point", "1,2,3", "--method", "fd", "--fd-step", "1e-300"],
     "error-point-off-guard": ["curvature", "--metric", "pnorm:p=4", "--dim", "3",
                               "--point", "1e300,1e-300,1"],
+    "error-point-bad-coordinate": ["curvature", "--metric", "euclidean", "--dim", "2",
+                                   "--point", "1,a"],
+    "error-point-dash-word": ["curvature", "--metric", "euclidean", "--dim", "2",
+                              "--point", "-x,1"],
+    "error-spec-value-without-name": ["verify", "--metric", "quadratic:1", "--dim", "2"],
+    "error-randers-bad-covector": ["verify", "--metric", "randers:a=1,1,b=x,0", "--dim", "2"],
 }
 DEMO_CASES = {f"demo-{path.stem}": [str(path.relative_to(ROOT))]
               for path in sorted((ROOT / "demos").glob("*.py"))}

@@ -95,6 +95,39 @@ class TestHyperDualArithmetic:
         assert abs(y.d12) <= 1e-15
 
 
+class TestReciprocals:
+    """Dual / Dual and negative integer powers go through the reciprocal 1/a, -1/a^2, 2/a^3."""
+
+    @pytest.mark.parametrize("kind", [Dual, HyperDual])
+    def test_quotient(self, kind):
+        # one variable t with x = 3 + 2t, y = 4 + 5t: the quotient rule, twice
+        q = kind(3.0, 2.0) / kind(4.0, 5.0)
+        assert type(q) is kind
+        assert q.real == 3.0 / 4.0
+        assert q.d1 == (2.0 * 4.0 - 3.0 * 5.0) / 4.0 ** 2
+        if kind is HyperDual:
+            assert q.d12 == -2.0 * 5.0 * (2.0 * 4.0 - 3.0 * 5.0) / 4.0 ** 3
+
+    @pytest.mark.parametrize("kind", [Dual, HyperDual])
+    @pytest.mark.parametrize("a, k", [(2.0, -1), (2.0, -2), (-2.0, -3)])
+    def test_negative_integer_power(self, kind, a, k):
+        y = kind(a, 3.0) ** k
+        assert type(y) is kind
+        assert y.real == a ** k
+        assert y.d1 == k * a ** (k - 1) * 3.0
+        if kind is HyperDual:
+            assert y.d12 == k * (k - 1) * a ** (k - 2) * 9.0
+
+    @pytest.mark.parametrize("divide", [
+        lambda x: Dual(1.0, 1.0) / x, lambda x: 1.0 / x, lambda x: x ** -2,
+        lambda x: HyperDual(1.0, 1.0) / HyperDual(x.real, x.d1)],
+        ids=["dual", "float", "power", "hyperdual"])
+    def test_zero_real_part_raises(self, divide):
+        x = Dual(np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(ZeroDivisionError, match="^hyper-dual division by zero real part$"):
+            divide(x)
+
+
 def dual_pair(kind, arrays, seed):
     """Two ``kind`` numbers of random parts: floats, or real (n, P, S, 1) and slots (n, P, 1, m)."""
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,9 @@ from finslercurv import autodiff, hypersurface
 from finslercurv import indicatrix as ind
 from finslercurv.autodiff import HyperDual
 from finslercurv.exceptions import DomainViolation, RejectionOverflow
-from finslercurv.metrics import FundamentalFunction, energy_field
+from finslercurv.metrics import FundamentalFunction, energy_field, parse_metric_spec
 
+import golden_corpus as golden
 from conftest import catalog, seeded_randers
 
 FAMILIES = ("euclidean", "quadratic", "randers", "pnorm", "mroot")
@@ -171,6 +173,68 @@ class TestSampling:
             fc.sample_indicatrix(fc.pnorm(45, 4), 5, 0)
         with pytest.raises(AssertionError):  # dim 44 goes on to draw
             fc.sample_indicatrix(fc.pnorm(44, 4), 5, 0)
+
+
+# normalize_to_indicatrix's one rule: metric specs, and the rows scaled in one stacked call
+SCALING_SPECS = ("euclidean", "quadratic:A=2,3,4", "randers:a=1,2,3,b=0.3,-0.2,0.1",
+                 "pnorm:p=16")
+SCALED_ROWS = [[1.0, -2.0, 1.5], [1e-160, 1e-160, 1e-160], [5e-324, 5e-324, 1e-323],
+               [1e200, -2e200, 3e200]]
+EXTRA_ROWS = {"pnorm:p=16": [1e20, 2e20, 1.5e20]}  # in the window, but F overflows
+UNSCALABLE = [  # (spec, row): a zero, non-finite or off-guard row
+    ("euclidean", [0.0, 0.0, 0.0]),
+    ("euclidean", [np.inf, 1.0, 1.0]),
+    ("euclidean", [np.nan, 1.0, 1.0]),
+    ("randers:a=1,2,3,b=0.3,-0.2,0.1", [np.inf, -np.inf, 1.0]),
+    ("pnorm:p=16", [1.0, 0.0, 1.0]),
+    ("pnorm:p=16", [1e300, 1e-300, 1.0]),  # off the guard once divided by 2^997
+    ("pnorm:p=16", [np.inf, np.inf, np.inf]),
+]
+
+
+def curvature_cli(spec, row):
+    """Exit code, stdout and stderr of ``curvature --format json`` at ``row``."""
+    point = ",".join(map(repr, row))
+    return golden.run_cli_in_process(golden.CLI + [
+        "curvature", "--metric", spec, "--dim", "3", f"--point={point}", "--format", "json"])
+
+
+class TestNormalization:
+    @pytest.mark.parametrize("spec", SCALING_SPECS)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_scale_as_the_cli_scales_them(self, spec):
+        fund = parse_metric_spec(spec, 3)
+        rows = SCALED_ROWS + [EXTRA_ROWS.get(spec, [1e200, 1.0, 1.0])]
+        scaled = fc.normalize_to_indicatrix(fund, rows)
+        residuals = np.abs(fc.eval_F(fund, scaled) - 1.0)
+        assert (residuals <= 1e-15).all(), residuals
+        for row, y in zip(rows, scaled):
+            code, out, err = curvature_cli(spec, row)
+            assert code == 0, err
+            assert y.tobytes() == np.array(json.loads(out)["point"]).tobytes(), row
+
+    @pytest.mark.parametrize("spec", SCALING_SPECS)
+    def test_point_within_tolerance_comes_back_as_given(self, spec):
+        fund = parse_metric_spec(spec, 3)
+        on = fc.normalize_to_indicatrix(fund, [1.0, -2.0, 1.5])
+        near, off = on * (1.0 + 5e-11), on * (1.0 + 2e-10)
+        got = fc.normalize_to_indicatrix(fund, np.stack([on, near, off]))
+        assert got[:2].tobytes() == np.stack([on, near]).tobytes()
+        assert got[2].tobytes() != off.tobytes()
+        alone = [fc.normalize_to_indicatrix(fund, row) for row in (on, near, off)]
+        assert got.tobytes() == np.stack(alone).tobytes()  # a stack gives each row's own bits
+        assert fc.indicatrix_point(fund, near).y.tobytes() == near.tobytes()
+
+    @pytest.mark.parametrize("spec, row", UNSCALABLE,
+                             ids=[f"{spec.partition(':')[0]}-{row}" for spec, row in UNSCALABLE])
+    def test_unscalable_row_raises_the_cli_message(self, spec, row):
+        fund = parse_metric_spec(spec, 3)
+        code, _, err = curvature_cli(spec, row)
+        assert code == 2
+        for rows in ([row], [[1.0, -2.0, 1.5], row]):
+            with pytest.raises(DomainViolation) as info:
+                fc.normalize_to_indicatrix(fund, rows)
+            assert err == f"finslercurv: error: {' '.join(str(info.value).split())}\n"
 
 
 class TestAdaptedReport:

@@ -144,6 +144,29 @@ class TestConstruction:
             with pytest.raises(InvalidParams, match="dim must be >= 2"):
                 build()
 
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(InvalidParams) as info:
+            fc.quadratic([[1.0, 2.0, 3.0]])
+        assert str(info.value) == "quadratic matrix must be a square matrix"
+
+    def test_covector_length_checked(self):
+        with pytest.raises(InvalidParams) as info:
+            fc.randers(np.eye(2), [1.0, 2.0, 3.0])
+        assert str(info.value) == "randers covector length must match the matrix order"
+
+
+class TestGuard:
+    @pytest.mark.parametrize("family", sorted(catalog(3)))
+    def test_one_point_is_its_row(self, family):
+        fund = catalog(3)[family]
+        for y in ([0.3, -1.2, 0.8], [1.0, 1.0, 1e-4], [0.0, 0.0, 0.0], [np.inf, 1.0, 1.0]):
+            y = np.array(y)
+            assert fund.guard(y) is bool(fund.guard_rows(y[None])[0])
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3), (3, 3)])
+    def test_wrong_shape_is_outside(self, shape):
+        assert fc.euclidean(3).guard(np.ones(shape)) is False
+
 
 class TestMetricTensor:
     def test_euclidean_identity(self):
