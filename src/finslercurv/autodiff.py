@@ -27,13 +27,18 @@ product's bits, and total, matvec and the pre-map add each coordinate's
 term into one running array. An n = 6 report chunk's 130-370 KB
 temporaries then reuse heap pages; with a new array per product and per
 addend, every chunk grew the heap and faulted its pages in again.
+
+One budget bounds memory: _seeded and fd_grad_hess evaluate a batch in
+blocks of whole points whose widest array holds at most STACK_FLOATS
+floats. Rows never mix, so blocks keep every bit, and a point wider than
+the budget is its own block (Griewank & Walther, Evaluating Derivatives).
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,6 +47,10 @@ from .exceptions import DimensionMismatch, DomainViolation
 from .numkernel import _first, _norms
 
 _SCALARS = (int, float, np.floating, np.ndarray)
+
+# Floats in the widest array (n coordinates x rows x slots) of one field evaluation,
+# 368 KB as in the n = 6 oracle of a 128-point chunk; chunk_points sizes chunks by it.
+STACK_FLOATS = 46_080
 
 
 class Dual:
@@ -388,11 +397,33 @@ def _seeded(fld: ScalarField, y, kind) -> list:
     seed = _seed_rows(fld)
     w = _guarded_rows(fld, y)
     coords = w.T.copy().reshape(seed.shape[:2] + (_per_point(len(w), seed.shape[1]), 1))
+    n, points, rows, _ = coords.shape  # rows of each point
+    width = n * (_seeds(n).first.size if kind is HyperDual else n)  # floats a row
+    if fld.pre is None:  # every row is a point, all seeded alike
+        blocks = _in_blocks(lambda b: _evaluated(fld, kind, coords[:, :, b], seed), rows, width)
+    else:
+        blocks = _in_blocks(lambda b: _evaluated(fld, kind, coords[:, b], seed[:, b]), points,
+                            rows * width)
+    return blocks or _evaluated(fld, kind, coords, seed)
+
+
+def _evaluated(fld: ScalarField, kind, coords: np.ndarray, seed: np.ndarray) -> list:
+    """kind's parts of fld at (n, P, S, 1) coords seeded by seed, as (P * S, width) rows."""
     out = fld.func(kind(coords, seed))
     parts = (out if isinstance(out, Dual) else kind(out))._parts()  # a constant's slots are 0
     widths = (1, fld.dim, _seeds(fld.dim).first.size)
-    return [np.full(coords.shape[1:-1] + (width,), part, float).reshape(len(w), width)
+    return [np.full(coords.shape[1:-1] + (width,), part, float).reshape(-1, width)
             for part, width in zip(parts, widths)]
+
+
+def _in_blocks(evaluate, points: int, width: int) -> list:
+    """evaluate(b) on consecutive slices b of ``points`` points of ``width`` floats within
+    STACK_FLOATS (a wider point alone), arrays joined by row; None where all fit one block."""
+    size = max(1, STACK_FLOATS // max(1, width))
+    if points <= size:
+        return None
+    blocks = [evaluate(slice(start, start + size)) for start in range(0, points, size)]
+    return [np.concatenate(part) for part in zip(*blocks)]
 
 
 def gradients(fld: ScalarField, y):
@@ -455,9 +486,9 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
 
     Steps are _scaled_step's, taken before any pre-map; the 2n^2 + 1 stencil
     points of every row, grouped by row, go through one float evaluation of
-    the field. Independent of the hyper-dual path, and its oracle. Raises
-    _scaled_step's ValueError before any evaluation, and DomainViolation if
-    any stencil point leaves the guard.
+    the field per block of rows (_in_blocks). Independent of the hyper-dual
+    path, and its oracle. Raises _scaled_step's ValueError before any
+    evaluation, and DomainViolation if a stencil point leaves the guard.
     """
     rows = point_rows(y, fld.dim)
     step = _scaled_step(h, rows)[:, None]  # (R, 1)
@@ -468,9 +499,15 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     ei, ej = seeds.eye[seeds.first[~seeds.diagonal]], seeds.eye[seeds.second[~seeds.diagonal]]
     pairs = np.stack([ei + ej, ei - ej, ej - ei, -ei - ej], axis=1).reshape(-1, n)
     stencil = np.concatenate([np.zeros((1, n)), seeds.eye, -seeds.eye, pairs])
-    w = _guarded_rows(fld, (rows[:, None, :] + step[:, :, None] * stencil).reshape(-1, n))
-    out = fld.func(w.T.copy()[:, None, :, None])
-    f = np.full((1, len(w), 1), out, float).reshape(len(rows), len(stencil))
+    stack = None if fld.pre is None else fld.pre.reshape(-1, n, n)
+    def values(b):  # [the field at rows[b]'s stencils, (rows, 2n^2 + 1)]
+        part = fld if stack is None else replace(fld, pre=stack[b])
+        w = _guarded_rows(part, (rows[b, None, :] + step[b, :, None] * stencil).reshape(-1, n))
+        out = fld.func(w.T.copy()[:, None, :, None])
+        return [np.full((1, len(w), 1), out, float).reshape(-1, len(stencil))]
+    # whole points: rows, unless P pre-map matrices are not one a row
+    points = 1 if stack is not None and len(stack) != len(rows) else len(rows)
+    f, = _in_blocks(values, points, len(stencil) * n) or values(slice(None))
     value, plus, minus, cross = np.split(f, [1, n + 1, 2 * n + 1], axis=1)
     pp, pm, mp, mm = np.moveaxis(cross.reshape(len(rows), len(ei), 4), -1, 0)  # signs of i, j
     upper = np.empty((len(rows), seeds.first.size))

@@ -13,9 +13,9 @@ or I/O error, including a package error raised outside a per-point
 failure record (a point outside the metric's domain, a dimension its
 sampling guard leaves empty) and running out of memory. Output is
 byte-identical for identical arguments, in every format.
-Points are evaluated chunk_points(n) at a time on one thread (see
-indicatrix); a point that fails gets its own failure record and the
-rest of the batch goes on.
+Points are evaluated chunk_points(n) at a time on one thread, in blocks
+within autodiff.STACK_FLOATS (see indicatrix); a point that fails gets
+its own failure record and the rest of the batch goes on.
 """
 
 from __future__ import annotations

@@ -11,12 +11,13 @@ numerical residuals of each of those statements, plus the gap to the
 finite-difference Weingarten oracle.
 
 Points are processed chunk_points(n) at a time, a count sized so that
-the widest stacked array of a chunk stays within CHUNK_SLOTS: each stage
-of a report runs once per chunk on stacked rows, and the pull-back to
-adapted coordinates rides in the derivative seeds (ScalarField.pre), so
-it adds no dual arithmetic. A report chunk in which a point raises (an
-off-surface one under either method) is redone by halves down to it, so
-every point gets the outcome it would get alone; a sampler chunk raises.
+the oracle's stencil of a chunk fills STACK_FLOATS, the derivative
+engine's budget (see autodiff): each stage of a report runs once per
+chunk on stacked rows, and the pull-back to adapted coordinates rides in
+the derivative seeds (ScalarField.pre), so it adds no dual arithmetic.
+A report chunk in which a point raises (an off-surface one under either
+method) is redone by halves down to it, so every point gets the outcome
+it would get alone; a sampler chunk raises.
 The per-point records are immutable NamedTuples (an IndicatrixPoint's
 metric is the g array), built a chunk at a time. In verify_claims a
 chunk's stacks pass from sampler to reports to statistics unregathered.
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import ScalarField, check_step, fd_grad_hess, grad_hess, point_rows
+from .autodiff import STACK_FLOATS, ScalarField, check_step, fd_grad_hess, grad_hess, point_rows
 from .exceptions import DomainViolation, FinslerError, RejectionOverflow
 from .hypersurface import (
     defining_evaluation,
@@ -45,24 +46,9 @@ from .numkernel import cholesky
 
 METHODS = ("hyperdual", "fd")
 
-# Stacked width budget of one chunk, in derivative slots. The Weingarten oracle
-# stacks 2(n-1) stencil rows of n first-order slots per point (fd's 2n^2 + 1
-# float rows are about as wide); 7680 is that width for 128 points at n = 6.
-# A chunk has a fixed cost (a one-point chunk takes 0.9 ms at n = 2 and
-# 1.0-1.9 ms at n = 6, each further point 0.002-0.05 ms), so
-# chunk_points(n) fills the budget: 1920 points at n = 2, 640 at 3, 320
-# at 4, 192 at 5, 128 at 6, where 128-point chunks take most of the
-# batching gain (catalog sweep, interleaved in one process, median of 5
-# rounds, 2-core Xeon, Python 3.11, numpy 2.4: 32/64/128/200 points per
-# chunk -> 0.51/0.32/0.29/0.24 s, fresh-process peak RSS 46.8/-/47.7/48.2
-# MB). Above n = 6 it follows the budget down (91 points at n = 7, 3 at
-# n = 32), since the stacks grow like n^2 per point; never below one point.
-CHUNK_SLOTS = 7680
-
-
 def chunk_points(dim: int) -> int:
-    """Points per batched evaluation at dimension ``dim``."""
-    return max(1, CHUNK_SLOTS // (2 * (dim - 1) * dim))
+    """Points per chunk at ``dim``: the oracle's (P, 2(n - 1), n) stencil within STACK_FLOATS."""
+    return max(1, STACK_FLOATS // (2 * (dim - 1) * dim))
 
 
 # What a single point can raise; such a point gets a failure record and
@@ -118,26 +104,28 @@ def defining_field(fund: FundamentalFunction) -> ScalarField:
 
 def normalize_to_indicatrix(fund: FundamentalFunction, direction) -> np.ndarray:
     """Scale a direction (or each row of a stack) onto the indicatrix, y = d / F(d): a row whose
-    largest entry lies outside [2^-100, 2^100], or whose F over- or underflows, is first divided
-    exactly by the power of two nearest that entry. A row with |F - 1| <= 1e-10 comes back as
-    given; one off the guard or with F not in (0, inf) raises DomainViolation naming it."""
+    largest entry lies outside [2^(-200/e), 2^100], e the norm's degree (a power sum's exponent,
+    else 2), or whose F over- or underflows, is first divided exactly by the power of two nearest
+    that entry. A row with |F - 1| <= 1e-10 comes back as given; one off the guard or with F
+    not in (0, inf) raises DomainViolation naming it."""
     rows = point_rows(direction, fund.dim)
     big = np.abs(rows).max(axis=-1)
+    low = 2.0 ** (-200 / (fund.exponent or 2))
     with np.errstate(over="ignore", invalid="ignore"):  # an F that over- or underflows is caught
-        if len(rows) > 1 and 2.0 ** -100 <= big.min() and big.max() <= 2.0 ** 100:
+        if len(rows) > 1 and low <= big.min() and big.max() <= 2.0 ** 100:
             f = eval_F(fund, rows)  # a stack in the window at once; one row is cheaper alone
             if 0.0 < f.min() and f.max() < np.inf:
                 f[np.abs(f - 1.0) <= 1e-10] = 1.0  # y / 1.0 is the row as given
                 return (rows / f[:, None]).reshape(np.shape(direction))
-        scaled = [_scaled_row(fund, row, b) for row, b in zip(rows, big.tolist())]
+        scaled = [_scaled_row(fund, row, b, low) for row, b in zip(rows, big.tolist())]
     return np.array(scaled).reshape(np.shape(direction))
 
 
-def _scaled_row(fund: FundamentalFunction, d: np.ndarray, big: float) -> np.ndarray:
-    """normalize_to_indicatrix of one row ``d``, whose largest entry is ``big``."""
+def _scaled_row(fund: FundamentalFunction, d: np.ndarray, big: float, low: float) -> np.ndarray:
+    """normalize_to_indicatrix of one row ``d`` of largest entry ``big``, window [low, 2^100]."""
     finite = 0.0 < big < np.inf
     y = d
-    f = eval_F(fund, d) if 2.0 ** -100 <= big <= 2.0 ** 100 or not finite else np.nan
+    f = eval_F(fund, d) if low <= big <= 2.0 ** 100 or not finite else np.nan
     if not 0.0 < f < np.inf and finite:  # tiny, huge or overflowing
         y = np.ldexp(d, -round(np.log2(big)))  # divide exactly by a power of two near big
         if not fund.guard(y):
@@ -221,7 +209,7 @@ def sample_indicatrix(fund: FundamentalFunction, count: int, seed: int) -> list[
     against the sampling guard, and one that misses it raises
     DomainViolation; none is redrawn. A margin that leaves the cone empty at
     this dimension raises RejectionOverflow before the draw. Metric Hessians
-    and Cholesky factors are computed chunk_points(dim) points at a time.
+    and Cholesky factors are computed chunk_points(dim) points a chunk.
     """
     return [point for chunk in _sample_chunks(fund, count, seed) for point in chunk.points]
 

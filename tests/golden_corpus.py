@@ -56,7 +56,8 @@ _FORMATTED = {  # one command per subcommand, each in every format
                        "--samples", "3"],
     "lemma-test": ["lemma-test", "--dim", "3", "--trials", "20"],
 }
-_CHUNKED = ["--metric", "pnorm:p=4", "--dim", "6", "--samples", "300"]  # 3 chunks of <= 128
+# one chunk, whose oracle and fd evaluations each run in 3 blocks of <= 128 points
+_CHUNKED = ["--metric", "pnorm:p=4", "--dim", "6", "--samples", "300"]
 _FUNK = "randers:a=250000249980.27924,500000.24998021673,b=499999.7499799667,0"
 
 CLI_CASES = {
@@ -66,6 +67,8 @@ CLI_CASES = {
                              "--point", "1e-160,1e-160,1e-160"],
     "curvature-huge-point": ["curvature", "--metric", "pnorm:p=4", "--dim", "3",
                              "--point", "1e200,-2e200,3e200", "--format", "json"],
+    "curvature-pnorm16-subnormal-sum": ["curvature", "--metric", "pnorm:p=16", "--dim", "3",
+                                        "--point", "1e-20,2e-20,1.5e-20", "--format", "json"],
     "curvature-negative-first": ["curvature", "--metric", "randers:a=1,1,b=0.4,0", "--dim", "2",
                                  "--point", "-0.35,0.2"],
     "curvature-impossible-tol": ["curvature", "--metric", "randers:a=1,1,b=0.4,0", "--dim", "2",

@@ -326,14 +326,15 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("method", ind.METHODS)
     def test_sample_csv_is_verify_csv(self, capsys, method):
-        # one pipeline; 300 points at n = 6 cross a chunk boundary
-        argv = ["--metric", "pnorm:p=4", "--dim", "6", "--samples", "300", "--seed", "5",
+        # one pipeline; the points at n = 6 cross a chunk boundary
+        count = ind.chunk_points(6) + 9
+        argv = ["--metric", "pnorm:p=4", "--dim", "6", "--samples", str(count), "--seed", "5",
                 "--method", method, "--format", "csv"]
         cli.main(["verify"] + argv)
         verified = capsys.readouterr().out
         assert cli.main(["sample"] + argv) == 0
         assert capsys.readouterr().out == verified
-        assert verified.count("\n") == 301
+        assert verified.count("\n") == count + 1
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_sample_value_calls_do_not_grow_with_samples(self, capsys, monkeypatch, fmt):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import finslercurv as fc
-from finslercurv import autodiff, hypersurface
+from finslercurv import autodiff
 from finslercurv import indicatrix as ind
 from finslercurv.autodiff import HyperDual
 from finslercurv.exceptions import DomainViolation, RejectionOverflow
@@ -225,6 +225,19 @@ class TestNormalization:
         assert got.tobytes() == np.stack(alone).tobytes()  # a stack gives each row's own bits
         assert fc.indicatrix_point(fund, near).y.tobytes() == near.tobytes()
 
+    @pytest.mark.parametrize("p", [12, 16])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_power_sum_is_rescaled(self, p):
+        # sum |y_i|^p of the row is subnormal but positive, so F is finite and nonzero;
+        # only the window's lower end 2^(-200/p) sends the row to the exact rescale
+        spec, row = f"pnorm:p={p}", [1e-20, 2e-20, 1.5e-20]
+        fund = parse_metric_spec(spec, 3)
+        y = fc.normalize_to_indicatrix(fund, row)
+        assert abs(fc.eval_F(fund, y) - 1.0) <= 1e-15
+        code, out, err = curvature_cli(spec, row)
+        assert code == 0, err
+        assert y.tobytes() == np.array(json.loads(out)["point"]).tobytes()
+
     @pytest.mark.parametrize("spec, row", UNSCALABLE,
                              ids=[f"{spec.partition(':')[0]}-{row}" for spec, row in UNSCALABLE])
     def test_unscalable_row_raises_the_cli_message(self, spec, row):
@@ -407,7 +420,7 @@ class TestVerifyClaims:
                         assert report_bits(x) == report_bits(y), (method, dim, fam)
 
     @pytest.mark.parametrize("method", ind.METHODS)
-    @pytest.mark.parametrize("dim, count, bad", [(3, 50, 25), (6, 137, 64)],
+    @pytest.mark.parametrize("dim, count, bad", [(3, 50, 25), (6, ind.chunk_points(6) + 9, 64)],
                              ids=["n3", "n6-two-chunks"])
     def test_report_failure_isolated_in_stacked_path(self, monkeypatch, method, dim, count,
                                                      bad):
@@ -464,7 +477,9 @@ class TestVerifyClaims:
 
         monkeypatch.setattr(FundamentalFunction, "value", counted)
         counts = []
-        for count in (1, 5, ind.chunk_points(3)):
+        # the top count is the most whose widest evaluation, the oracle's 4 stencil rows
+        # of 3 x 3 slots a point, fits one block at n = 3
+        for count in (1, 5, autodiff.STACK_FLOATS // (4 * 3 * 3)):
             calls.clear()
             fc.verify_claims(catalog(3)["randers"], count=count, seed=5,
                              methods=("hyperdual",))
@@ -482,7 +497,8 @@ class TestDimensionLadder:
     @pytest.mark.parametrize("dim", [8, 12, 16, 24])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_passes(self, family, dim):
-        # 20 points cross a chunk boundary from n = 16 on (16 points, then 6 at n = 24)
+        # 20 points are one chunk here; from n = 12 on they cross the oracle's
+        # evaluation blocks (14 points a block at n = 12, 1 at n = 24)
         self.check(family, dim, 20)
 
     @pytest.mark.parametrize("dim", [64, 100])
@@ -502,32 +518,34 @@ class TestDimensionLadder:
 
 class TestChunks:
     def test_chunk_points_by_dimension(self):
-        assert [ind.chunk_points(n) for n in range(2, 8)] == [1920, 640, 320, 192, 128, 91]
-        assert [ind.chunk_points(n) for n in (24, 32, 44, 62, 63, 100)] == [6, 3, 2, 1, 1, 1]
+        assert [ind.chunk_points(n) for n in range(2, 8)] == [11520, 3840, 1920, 1152, 768, 548]
+        assert [ind.chunk_points(n) for n in (24, 32, 44, 100, 107, 108, 400)] == \
+            [41, 23, 12, 2, 2, 1, 1]
 
     def test_widest_stacked_array_within_budget(self, monkeypatch):
-        # widest = stacked rows x derivative slots of one field evaluation;
-        # the budget is CHUNK_SLOTS at every dimension
+        # widest = coordinates x rows x slots of an argument the field's func receives,
+        # over two chunks' sampling and reports; one point wider than the budget
+        # (fd and the oracle from n = 29) is its own block
         widths = []
+        value = FundamentalFunction.value
 
-        def measured(func, slots):
-            def wrapper(fld, y):
-                widths.append(len(np.reshape(y, (-1, fld.dim))) * slots(fld.dim))
-                return func(fld, y)
-            return wrapper
+        def measured(fund, z):
+            n = fund.dim
+            slots = {HyperDual: n * (n + 1) // 2, autodiff.Dual: n}.get(type(z), 1)
+            widths.append(np.size(z.real) * slots)
+            return value(fund, z)
 
-        hessians = measured(autodiff.grad_hess, lambda n: n * (n + 1) // 2)
-        monkeypatch.setattr(ind, "grad_hess", hessians)
-        monkeypatch.setattr(hypersurface, "grad_hess", hessians)
-        monkeypatch.setattr(hypersurface, "gradients",
-                            measured(autodiff.gradients, lambda n: n))
-        for dim in range(2, 17):
-            fund = fc.euclidean(dim)
+        monkeypatch.setattr(FundamentalFunction, "value", measured)
+        for n in (6, 16, 29):
+            fund = fc.euclidean(n)
             widths.clear()
-            count = ind.chunk_points(dim)
-            points = fc.sample_indicatrix(fund, count + 1, 3)
-            fc.adapted_reports(fund, points)
-            assert max(widths) == count * 2 * (dim - 1) * dim <= ind.CHUNK_SLOTS, dim
+            points = fc.sample_indicatrix(fund, ind.chunk_points(n) + 1, 3)
+            for method in ind.METHODS:
+                reports = fc.adapted_reports(fund, points, method=method)
+                assert not any(isinstance(item, Exception) for item in reports)
+                one_point = max(n * n * (n + 1) // 2, 2 * (n - 1) * n * n,
+                                n * (2 * n * n + 1) if method == "fd" else 0)
+                assert max(widths) <= max(one_point, autodiff.STACK_FLOATS), (n, method)
 
     def test_bad_point_isolated_by_bisection(self, monkeypatch):
         fund = catalog(3)["pnorm"]

@@ -52,6 +52,35 @@ def test_batched_reports_match_solo_and_claims_hold(fund, count, chunk, seed):
     assert stats.max_residual_umbilic <= summary.tol
 
 
+@hypothesis.settings(max_examples=20)
+@hypothesis.given(fund=randers_norms(), data=st.data(), points=st.integers(1, 6),
+                  per_point=st.integers(1, 3), pre=st.booleans(), seed=st.integers(0, 2**16))
+def test_blocks_never_change_bits(fund, data, points, per_point, pre, seed):
+    # any budget from 1 float up to the unblocked width gives every route the bits of one
+    # unblocked evaluation, and every report the bits of its point alone
+    n = fund.dim
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((points * per_point, n))
+    energy = energy_field(fund)
+    fld = replace(energy, pre=np.eye(n) + 0.3 * rng.standard_normal((points, n, n))) \
+        if pre else energy
+    routes = (autodiff.grad_hess, autodiff.gradients, autodiff.fd_grad_hess)
+    unblocked = len(y) * n * (2 * n * n + 1)  # the widest of the three
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autodiff, "STACK_FLOATS", unblocked)
+        expected = [route(fld, y) for route in routes]
+        budget = data.draw(st.integers(1, unblocked), label="budget")
+        mp.setattr(autodiff, "STACK_FLOATS", budget)
+        for route, want in zip(routes, expected):
+            got = route(fld, y)
+            assert [part.tobytes() for part in got] == [part.tobytes() for part in want], route
+        summary = fc.verify_claims(fund, count=data.draw(st.integers(1, 6), label="count"),
+                                   seed=seed)
+    for method in ind.METHODS:
+        for point, rep in zip(summary.points, summary.reports[method]):
+            assert report_bits(rep) == report_bits(fc.adapted_report(fund, point, method))
+
+
 POWER_SUMS = {"pnorm": (fc.pnorm, "p"), "mroot": (fc.mroot, "m")}
 
 
