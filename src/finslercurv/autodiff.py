@@ -485,8 +485,8 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     """Central-difference value/gradient/Hessian, O(h^2) accurate, shaped as grad_hess's.
 
     Steps are _scaled_step's, taken before any pre-map; the 2n^2 + 1 stencil
-    points of every row, grouped by row, go through one float evaluation of
-    the field per block of rows (_in_blocks). Independent of the hyper-dual
+    points of every row, grouped by row, go through one float evaluation of the
+    field per block of whole points (_in_blocks). Independent of the hyper-dual
     path, and its oracle. Raises _scaled_step's ValueError before any
     evaluation, and DomainViolation if a stencil point leaves the guard.
     """
@@ -499,15 +499,17 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     ei, ej = seeds.eye[seeds.first[~seeds.diagonal]], seeds.eye[seeds.second[~seeds.diagonal]]
     pairs = np.stack([ei + ej, ei - ej, ej - ei, -ei - ej], axis=1).reshape(-1, n)
     stencil = np.concatenate([np.zeros((1, n)), seeds.eye, -seeds.eye, pairs])
-    stack = None if fld.pre is None else fld.pre.reshape(-1, n, n)
-    def values(b):  # [the field at rows[b]'s stencils, (rows, 2n^2 + 1)]
+    # a point: one matrix of a stack of P > 1 with its rows, else a row (one matrix serves all)
+    stack = None if fld.pre is None or fld.pre.size == n * n else fld.pre.reshape(-1, n, n)
+    per = 1 if stack is None else _per_point(len(rows), len(stack))
+    def values(b):  # [the field at the stencils of points b's rows, (rows, 2n^2 + 1)]
         part = fld if stack is None else replace(fld, pre=stack[b])
-        w = _guarded_rows(part, (rows[b, None, :] + step[b, :, None] * stencil).reshape(-1, n))
+        r = slice(b.start * per, b.stop * per)
+        w = _guarded_rows(part, (rows[r, None, :] + step[r, :, None] * stencil).reshape(-1, n))
         out = fld.func(w.T.copy()[:, None, :, None])
         return [np.full((1, len(w), 1), out, float).reshape(-1, len(stencil))]
-    # whole points: rows, unless P pre-map matrices are not one a row
-    points = 1 if stack is not None and len(stack) != len(rows) else len(rows)
-    f, = _in_blocks(values, points, len(stencil) * n) or values(slice(None))
+    points = len(rows) if stack is None else len(stack)
+    f, = _in_blocks(values, points, per * len(stencil) * n) or values(slice(0, points))
     value, plus, minus, cross = np.split(f, [1, n + 1, 2 * n + 1], axis=1)
     pp, pm, mp, mm = np.moveaxis(cross.reshape(len(rows), len(ei), 4), -1, 0)  # signs of i, j
     upper = np.empty((len(rows), seeds.first.size))

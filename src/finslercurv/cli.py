@@ -11,11 +11,12 @@ Subcommands:
 Exit codes: 0 all checks passed, 1 a claim check failed, 2 usage, input
 or I/O error, including a package error raised outside a per-point
 failure record (a point outside the metric's domain, a dimension its
-sampling guard leaves empty) and running out of memory. Output is
-byte-identical for identical arguments, in every format.
-Points are evaluated chunk_points(n) at a time on one thread, in blocks
-within autodiff.STACK_FLOATS (see indicatrix); a point that fails gets
-its own failure record and the rest of the batch goes on.
+sampling guard leaves empty), one of indicatrix.POINT_ERRORS at
+curvature's one point, and running out of memory. Output is
+byte-identical for identical arguments, in every format. Points are
+evaluated chunk_points(n) at a time on one thread, in blocks within
+autodiff.STACK_FLOATS (see indicatrix); in verify and sample a failing
+point gets its own failure record and the rest of the batch goes on.
 """
 
 from __future__ import annotations
@@ -151,24 +152,14 @@ def _thread_count() -> int:
 def _point_records(points, reports, fund) -> list[dict]:
     """One record per point: index, y, F, then H and residual_H or the error."""
     f_values = eval_F(fund, np.stack([point.y for point in points])).tolist()
-    records = []
-    for index, (point, rep, f_val) in enumerate(zip(points, reports, f_values)):
-        record = {"index": index, "y": point.y.tolist(), "F": f_val}
-        if isinstance(rep, Exception):
-            record["error"] = str(rep)
-        else:
-            record["H"] = rep.H
-            record["residual_H"] = rep.residual_H
-        records.append(record)
-    return records
-
-
-def _csv_rows(points, reports, fund) -> str:
-    """The point records as CSV; a failed point reads nan for H and residual_H."""
-    return _records_csv(_point_records(points, reports, fund), fund.dim)
+    return [{"index": index, "y": point.y.tolist(), "F": f_val,
+             **({"error": str(rep)} if isinstance(rep, Exception)
+                else {"H": rep.H, "residual_H": rep.residual_H})}
+            for index, (point, rep, f_val) in enumerate(zip(points, reports, f_values))]
 
 
 def _records_csv(records, dim: int) -> str:
+    """Point records as CSV; a failed point reads nan for H and residual_H."""
     header = "index," + ",".join(f"y_{i + 1}" for i in range(dim)) + ",F,H,residual_H"
     lines = [header]
     for record in records:
@@ -212,16 +203,22 @@ def _run_verify(args):
         ]) + "\n"
 
     def csv():
-        return _csv_rows(summary.points, summary.reports[args.method], args.fund)
+        return _records_csv(_point_records(summary.points, summary.reports[args.method],
+                                           args.fund), args.dim)
 
     return stats.passed, record, csv, text
 
 
 def _run_curvature(args):
+    """verify's pipeline and verdict on a one-point chunk; a point error exits 2."""
     fund = args.fund
-    point = ind.indicatrix_point(fund, args.point)
-    rep = ind.adapted_report(fund, point, method=args.method, fd_step=args.fd_step)
-    ok = ind._aggregate(args.method, [rep], args.tol).passed  # verify's rule
+    chunk = ind._indicatrix_points(fund, args.point[None])
+    try:
+        reports, columns = ind._chunk_reports(fund, chunk, args.method, args.fd_step)
+    except ind.POINT_ERRORS as exc:  # verify's isolation set, reported as main reports
+        raise FinslerError(str(exc) or type(exc).__name__) from exc
+    (point,), (rep,) = chunk.points, reports
+    ok = ind._statistics(args.method, reports, columns, args.tol).passed
     record = {
         "metric": args.metric_spec, "dim": fund.dim, "point": point.y.tolist(),
         "normalized": not np.array_equal(point.y, args.point), "method": args.method,
@@ -244,7 +241,10 @@ def _run_curvature(args):
             f"result = {'PASS' if r['pass'] else 'FAIL'}",
         ]) + "\n"
 
-    return ok, record, lambda: _csv_rows([point], [rep], fund), text
+    def csv():
+        return _records_csv(_point_records(chunk.points, reports, fund), fund.dim)
+
+    return ok, record, csv, text
 
 
 def _run_sample(args):

@@ -19,8 +19,9 @@ A report chunk in which a point raises (an off-surface one under either
 method) is redone by halves down to it, so every point gets the outcome
 it would get alone; a sampler chunk raises.
 The per-point records are immutable NamedTuples (an IndicatrixPoint's
-metric is the g array), built a chunk at a time. In verify_claims a
-chunk's stacks pass from sampler to reports to statistics unregathered.
+metric is the g array), built a chunk at a time. In verify_claims, and
+in the CLI's one-point curvature, a chunk's stacks pass from sampler to
+reports to statistics unregathered.
 """
 
 from __future__ import annotations
@@ -378,13 +379,6 @@ class VerificationSummary:
     passed: bool
     reports: dict
     points: list
-
-
-def _aggregate(method: str, reports: list, tol: float) -> MethodStats:
-    """_statistics over a list of reports, an exception in place of each that raised."""
-    columns = np.array([[math.nan] * 8 if isinstance(item, Exception) else
-                        [item.H, *item[3:6], *item[7:]] for item in reports]).reshape(-1, 8).T
-    return _statistics(method, reports, columns, tol)
 
 
 def _statistics(method: str, reports: list, columns: np.ndarray, tol: float) -> MethodStats:

@@ -73,7 +73,16 @@ CLI_CASES = {
                                  "--point", "-0.35,0.2"],
     "curvature-impossible-tol": ["curvature", "--metric", "randers:a=1,1,b=0.4,0", "--dim", "2",
                                  "--point", "0.6,0.8", "--tol", "1e-20", "--format", "json"],
+    "curvature-randers-dim6": ["curvature", "--metric",
+                               "randers:a=1.5,0.8,1.2,2.0,0.6,1.1,"
+                               "b=0.2,-0.1,0.15,0.05,-0.2,0.1", "--dim", "6",
+                               "--point=0.7,-0.4,0.9,0.5,-0.6,0.8"],
+    "curvature-quadratic-dim5": ["curvature", "--metric", "quadratic:A=1.3,0.7,2.1,0.9,1.6",
+                                 "--dim", "5", "--point=-0.5,0.8,0.3,-0.9,0.6"],
     "verify-pnorm16": ["verify", "--metric", "pnorm:p=16", "--dim", "3", "--samples", "50"],
+    # FAIL today: the oracle step is scaled by the absolute stretch ||B||_2 (ROADMAP item 1)
+    "verify-quadratic-scaled": ["verify", "--metric", "quadratic:A=1e-12,1e-12,1e-12",
+                                "--dim", "3", "--samples", "50"],
     "verify-chunked-text": ["verify", *_CHUNKED],
     "sample-chunked-text": ["sample", *_CHUNKED],
     "verify-chunked-csv": ["verify", *_CHUNKED, "--format", "csv"],
@@ -100,6 +109,9 @@ CLI_CASES = {
                              "--method", "fd", "--fd-step", "1e-300"],
     "error-curvature-fd-step": ["curvature", "--metric", "euclidean", "--dim", "3",
                                 "--point", "1,2,3", "--method", "fd", "--fd-step", "1e-300"],
+    # the oracle's step falls below 2**-511 here; verify and sample record it per point
+    "error-curvature-tiny-scale": ["curvature", "--metric", "quadratic:A=1e-300,1e-300",
+                                   "--dim", "2", "--point", "1,1"],
     "error-point-off-guard": ["curvature", "--metric", "pnorm:p=4", "--dim", "3",
                               "--point", "1e300,1e-300,1"],
     "error-point-bad-coordinate": ["curvature", "--metric", "euclidean", "--dim", "2",

@@ -15,6 +15,8 @@ from finslercurv import indicatrix as ind
 from finslercurv.exceptions import UsageError
 from finslercurv.metrics import FundamentalFunction, eval_F, parse_metric_spec
 
+from test_indicatrix import reference_aggregate, report_columns
+
 
 def run_cli(argv, capsys=None):
     code = cli.main(argv)
@@ -181,8 +183,8 @@ class TestVerifyCommand:
         assert len(calls) == 1
         fund = parse_metric_spec("pnorm:p=4", 3)
         points = sample(fund, 9, 42)
-        assert capsys.readouterr().out == cli._csv_rows(
-            points, ind.adapted_reports(fund, points), fund)
+        assert capsys.readouterr().out == cli._records_csv(
+            cli._point_records(points, ind.adapted_reports(fund, points), fund), fund.dim)
 
     def test_repeated_runs_write_identical_files(self, tmp_path):
         outputs = []
@@ -262,18 +264,59 @@ class TestOtherCommands:
     def test_curvature_verdict_on_edge_reports(self, capsys, monkeypatch, edit):
         # residuals at tol, the gap at its bound, a NaN gap (skipped) or residual (fails)
         reports = []
-        adapted_report = ind.adapted_report
+        chunk_reports = ind._chunk_reports
 
-        def edited(*args, **kwargs):
-            reports.append(adapted_report(*args, **kwargs)._replace(**edit))
-            return reports[-1]
+        def edited(*args):
+            reports[:] = [rep._replace(**edit) for rep in chunk_reports(*args)[0]]
+            return reports, report_columns(reports)
 
-        monkeypatch.setattr(ind, "adapted_report", edited)
+        monkeypatch.setattr(ind, "_chunk_reports", edited)
         code = cli.main(["curvature", "--metric", "pnorm:p=4", "--dim", "3",
                          "--point", "1,-2,1.5", "--format", "json"])
-        want = ind._aggregate("hyperdual", reports, 1e-8).passed
+        want = reference_aggregate("hyperdual", reports, 1e-8).passed
         assert json.loads(capsys.readouterr().out)["pass"] is want
         assert code == (0 if want else 1)
+
+    def test_curvature_runs_the_verify_pipeline(self, capsys, monkeypatch):
+        # one chunk through _chunk_reports and _statistics; no record is regathered
+        calls = []
+
+        def counted(name):
+            original = getattr(ind, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("_chunk_reports", "_statistics"):
+            monkeypatch.setattr(ind, name, counted(name))
+
+        def unused(*args, **kwargs):
+            raise AssertionError("curvature left verify's pipeline")
+
+        for name in ("indicatrix_point", "adapted_report", "_gathered"):
+            monkeypatch.setattr(ind, name, unused)
+        assert cli.main(["curvature", "--metric", "pnorm:p=4", "--dim", "3",
+                         "--point", "1,-2,1.5"]) == 0
+        assert calls == ["_chunk_reports", "_statistics"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("error, message", [
+        (ValueError("bad step"), "bad step"),
+        (ZeroDivisionError(), "ZeroDivisionError"),
+        (ind.DomainViolation("off the guard"), "off the guard"),
+    ])
+    def test_curvature_point_error_exits_2(self, capsys, monkeypatch, error, message):
+        # what verify isolates as a point's failure record ends curvature with one line
+        def raising(*args):
+            raise error
+
+        monkeypatch.setattr(ind, "_chunk_reports", raising)
+        assert cli.main(["curvature", "--metric", "euclidean", "--dim", "2",
+                         "--point", "1,1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"finslercurv: error: {message}\n"
 
     def test_failed_point_records(self, capsys, monkeypatch):
         # one point raises in the report stage: sample's JSON record gives its error and

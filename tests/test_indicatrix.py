@@ -403,7 +403,7 @@ class TestVerifyClaims:
                                        methods=(method,))
             solo = [fc.adapted_report(fund, p, method=method) for p in batched.points]
             a = batched.stats[method]
-            b = ind._aggregate(method, solo, 1e-8)
+            b = report_statistics(method, solo, 1e-8)
             assert (a.max_residual_H, a.mean_residual_H, a.max_residual_trace,
                     a.max_residual_umbilic, a.max_oracle_gap) == \
                    (b.max_residual_H, b.mean_residual_H, b.max_residual_trace,
@@ -451,7 +451,7 @@ class TestVerifyClaims:
         stats = summary.stats[method]
         assert {"index": bad, "error": "injected fault"} in stats.failures
         assert repr(dataclasses.asdict(stats)) == \
-            repr(dataclasses.asdict(ind._aggregate(method, solo, 1e-8)))
+            repr(dataclasses.asdict(report_statistics(method, solo, 1e-8)))
         for index, (x, y) in enumerate(zip(reports, solo)):
             if index != bad:
                 assert report_bits(x) == report_bits(y), index
@@ -546,6 +546,14 @@ class TestChunks:
                 one_point = max(n * n * (n + 1) // 2, 2 * (n - 1) * n * n,
                                 n * (2 * n * n + 1) if method == "fd" else 0)
                 assert max(widths) <= max(one_point, autodiff.STACK_FLOATS), (n, method)
+        # fd keeps the budget under a pre-map of one matrix (blocked by rows) or of one
+        # matrix per 2 rows (by whole matrices); unblocked, 4,000 rows at n = 3 are 228,000
+        rows = np.random.default_rng(3).standard_normal((4000, 3))
+        for pre in (np.eye(3), np.tile(np.eye(3), (2000, 1, 1))):
+            widths.clear()
+            autodiff.fd_grad_hess(dataclasses.replace(energy_field(fc.euclidean(3)), pre=pre),
+                                  rows)
+            assert max(widths) <= autodiff.STACK_FLOATS, pre.shape
 
     def test_bad_point_isolated_by_bisection(self, monkeypatch):
         fund = catalog(3)["pnorm"]
@@ -658,8 +666,20 @@ class TestMechanism:
         assert chunks == evaluations == [ind.chunk_points(3), 5]
 
 
+def report_columns(reports):
+    """The (8, N) columns _reports gives for ``reports``: each report's float fields in
+    order, NaN for an exception in place of one that raised."""
+    return np.array([[np.nan] * 8 if isinstance(item, Exception) else
+                     [item.H, *item[3:6], *item[7:]] for item in reports]).reshape(-1, 8).T
+
+
+def report_statistics(method, reports, tol):
+    """ind._statistics over a list of reports, with their report_columns."""
+    return ind._statistics(method, reports, report_columns(reports), tol)
+
+
 def reference_aggregate(method, reports, tol):
-    """_aggregate as a plain running loop over the reports, one at a time."""
+    """ind._statistics' rule as a plain running loop over the reports, one at a time."""
     stats = ind.MethodStats(method)
     residuals = []
     for index, item in enumerate(reports):
@@ -723,7 +743,7 @@ class TestAggregate:
     @pytest.mark.parametrize("tol", [1e-8, 1e-15])
     def test_matches_running_loop(self, chunk_reports, case, tol):
         reports = aggregate_cases(chunk_reports)[case]
-        got = ind._aggregate("hyperdual", reports, tol)
+        got = report_statistics("hyperdual", reports, tol)
         want = reference_aggregate("hyperdual", reports, tol)
         # repr tells every float apart, NaN included, and keeps failure order
         assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
