@@ -11,10 +11,11 @@ an independent cross-check; the two share only the field and its row layout.
 
 The parts of a (hyper-)dual may hold floats or numpy arrays. Evaluations
 are vector-seeded: a field gets one argument with a leading coordinate
-axis, real part (n, P, S, 1) for R = P * S stacked rows in P blocks (for a
-dual, one per pre-map matrix; else P = 1) and gradient d1 (n, P, 1, n)
-broadcast over each block's rows, so one evaluation carries every
-coordinate, row and derivative direction in O(n) array operations.
+axis, real part (n, P, S, 1) for R = P * S stacked rows in P groups (one
+per matrix of a pre-map stack, else P = 1) and gradient d1 (n, P, 1, n)
+broadcast over each group's rows, so one evaluation carries every
+coordinate, row and derivative direction of a block in O(n) array
+operations.
 HyperDual adds d12 (n, P, 1, m), the mixed partials at the m = n(n+1)/2
 index pairs (first, second) of _seeds(n), and gathers d1 at first and at
 second for the two first partials of each pair: the gradient is stored
@@ -28,10 +29,13 @@ term into one running array. An n = 6 report chunk's 130-370 KB
 temporaries then reuse heap pages; with a new array per product and per
 addend, every chunk grew the heap and faulted its pages in again.
 
-One budget bounds memory: _seeded and fd_grad_hess evaluate a batch in
-blocks of whole points whose widest array holds at most STACK_FLOATS
-floats. Rows never mix, so blocks keep every bit, and a point wider than
-the budget is its own block (Griewank & Walther, Evaluating Derivatives).
+One budget bounds memory, and one rule (_blockwise) keeps it for both
+engines: a batch is evaluated in consecutive blocks of whole points whose
+widest array holds at most STACK_FLOATS floats. A point is one matrix of a
+(P, n, n) pre-map stack with its rows; without a pre-map, or with one
+(n, n) matrix for all rows, each row is a point. Rows never mix, so blocks
+keep every bit, and a point wider than the budget is its own block
+(Griewank & Walther, Evaluating Derivatives, ch. 13).
 """
 
 from __future__ import annotations
@@ -301,8 +305,10 @@ class ScalarField:
     ``pre``, if given, is a linear pre-map B: the field's value at z is
     func(B z), and its derivatives are taken in z. B is one (n, n) matrix,
     or a (P, n, n) stack whose p-th matrix applies to the p-th of P equal
-    consecutive blocks of the stacked rows. The guard is checked at B z,
-    where func is evaluated.
+    consecutive groups of the stacked rows. The guard is checked at B z,
+    where func is evaluated. A point is one matrix of a stack with its
+    group of rows, else one row; func sees whole points only, as many as
+    STACK_FLOATS allows at a time (see above).
     """
 
     dim: int
@@ -353,18 +359,6 @@ def _pulled_back(fld: ScalarField, rows: np.ndarray) -> np.ndarray:
     return w.reshape(rows.shape)
 
 
-def _seed_rows(fld: ScalarField) -> np.ndarray:
-    """Seed table whose entry i seeds coordinate i of the field's argument.
-
-    It is (n, P, 1, n): row i of each of the P points' B, broadcast over the
-    point's block of rows, or the identity as one block (P = 1) without a
-    pre-map. Both derivative routes seed with it.
-    """
-    n = fld.dim
-    pre = _seeds(n).eye if fld.pre is None else fld.pre
-    return pre.reshape(-1, n, n).transpose(1, 0, 2)[:, :, None, :]
-
-
 def point_rows(y, dim: int) -> np.ndarray:
     """``y``, one point (n,) or stacked rows (R, n), as (R, n) rows; n must be ``dim``."""
     y = np.asarray(y, dtype=float)
@@ -373,67 +367,75 @@ def point_rows(y, dim: int) -> np.ndarray:
     return y.reshape(-1, dim)
 
 
-def _guarded_rows(fld: ScalarField, y) -> np.ndarray:
-    """The (R, n) rows w = B z where the field is evaluated, for ``y`` as rows z.
+def _evaluated(fld: ScalarField, z: np.ndarray, kind) -> list:
+    """fld at the (R, n) rows z, as kind's parts in (R, width) rows.
 
-    z is checked against the field's dimension and w against its guard.
+    The field is evaluated at w = B z, which must pass the guard. kind float
+    gives the value (R, 1). Dual and HyperDual seed coordinate i as
+    kind(w_i, B[i, :]), row i of each point's B (the identity without a
+    pre-map), so their slots carry derivatives in z: the gradient (R, n) and
+    a HyperDual's mixed part (R, m) follow the value.
     """
-    rows = point_rows(y, fld.dim)
-    w = _pulled_back(fld, rows)
+    n = fld.dim
+    w = _pulled_back(fld, z)
     if fld.guard is not None:
         inside = np.asarray(fld.guard(w), dtype=bool)
         if inside.shape != (len(w),):
             raise DimensionMismatch(f"guard gave shape {inside.shape}, not one boolean per row")
         if not inside.all():
-            raise DomainViolation(f"point {rows[inside.argmin()]} is outside the field's domain")
-    return w
-
-
-def _seeded(fld: ScalarField, y, kind) -> list:
-    """One evaluation of fld at y's guarded rows w, coordinate i seeded as kind(w_i, seed[i]).
-
-    It returns kind's parts: real (R, 1), gradient (R, n) and a HyperDual's mixed part (R, m).
-    """
-    seed = _seed_rows(fld)
-    w = _guarded_rows(fld, y)
-    coords = w.T.copy().reshape(seed.shape[:2] + (_per_point(len(w), seed.shape[1]), 1))
-    n, points, rows, _ = coords.shape  # rows of each point
-    width = n * (_seeds(n).first.size if kind is HyperDual else n)  # floats a row
-    if fld.pre is None:  # every row is a point, all seeded alike
-        blocks = _in_blocks(lambda b: _evaluated(fld, kind, coords[:, :, b], seed), rows, width)
+            raise DomainViolation(f"point {z[inside.argmin()]} is outside the field's domain")
+    pre = (_seeds(n).eye if fld.pre is None else fld.pre).reshape(-1, n, n)
+    x = w.T.copy().reshape(n, len(pre), _per_point(len(w), len(pre)), 1)  # (n, P, S, 1)
+    if kind is float:
+        parts, widths = [fld.func(x)], (1,)
     else:
-        blocks = _in_blocks(lambda b: _evaluated(fld, kind, coords[:, b], seed[:, b]), points,
-                            rows * width)
-    return blocks or _evaluated(fld, kind, coords, seed)
-
-
-def _evaluated(fld: ScalarField, kind, coords: np.ndarray, seed: np.ndarray) -> list:
-    """kind's parts of fld at (n, P, S, 1) coords seeded by seed, as (P * S, width) rows."""
-    out = fld.func(kind(coords, seed))
-    parts = (out if isinstance(out, Dual) else kind(out))._parts()  # a constant's slots are 0
-    widths = (1, fld.dim, _seeds(fld.dim).first.size)
-    return [np.full(coords.shape[1:-1] + (width,), part, float).reshape(-1, width)
+        out = fld.func(kind(x, pre.transpose(1, 0, 2)[:, :, None, :]))
+        parts = (out if isinstance(out, Dual) else kind(out))._parts()  # a constant's slots are 0
+        widths = (1, n, _seeds(n).first.size)
+    return [np.full(x.shape[1:-1] + (width,), part, float).reshape(-1, width)
             for part, width in zip(parts, widths)]
 
 
-def _in_blocks(evaluate, points: int, width: int) -> list:
-    """evaluate(b) on consecutive slices b of ``points`` points of ``width`` floats within
-    STACK_FLOATS (a wider point alone), arrays joined by row; None where all fit one block."""
-    size = max(1, STACK_FLOATS // max(1, width))
+def _blockwise(fld: ScalarField, count: int, width: int, kind, rows: Callable) -> list:
+    """_evaluated's parts for ``count`` input rows, joined by row: the one block rule.
+
+    Each block is consecutive whole points (as the module docstring defines
+    them) within STACK_FLOATS at ``width`` floats an input row; a wider point
+    is a block alone. rows(r) gives the rows evaluated for the input rows of
+    slice r, grouped by input row: the rows themselves, or fd's stencils.
+    """
+    stack = fld.pre if fld.pre is not None and fld.pre.ndim == 3 else None
+    per = 1 if stack is None else _per_point(count, len(stack))
+    points = count if stack is None else len(stack)
+    size = max(1, STACK_FLOATS // max(1, per * width))
     if points <= size:
-        return None
-    blocks = [evaluate(slice(start, start + size)) for start in range(0, points, size)]
+        return _evaluated(fld, rows(slice(0, count)), kind)
+    blocks = [_evaluated(fld if stack is None else replace(fld, pre=stack[p:p + size]),
+                         rows(slice(p * per, (p + size) * per)), kind)
+              for p in range(0, points, size)]
     return [np.concatenate(part) for part in zip(*blocks)]
+
+
+def _seeded(fld: ScalarField, y, kind) -> list:
+    """kind's parts of fld at y's rows (_evaluated), evaluated in blocks (_blockwise).
+
+    It returns real (R, 1), gradient (R, n) and a HyperDual's mixed part (R, m).
+    """
+    z = point_rows(y, fld.dim)
+    n = fld.dim
+    slots = _seeds(n).first.size if kind is HyperDual else n
+    return _blockwise(fld, len(z), n * slots, kind, lambda r: z[r])
 
 
 def gradients(fld: ScalarField, y):
     """Value and gradient of ``fld`` via dual numbers (first order only).
 
     ``y`` is one point (n,), giving (float, (n,)), or stacked rows (R, n),
-    giving ((R,), (R, n)); all rows go through one field evaluation with n
-    slots. Coordinate i of w = B z is seeded as Dual(w_i, B[i, :]), so the
-    slots carry derivatives in z. The gradient is bit-identical to the one
-    grad_hess returns.
+    giving ((R,), (R, n)); the rows go through field evaluations with n
+    slots, a block of points each (see the module docstring). Coordinate i
+    of w = B z is seeded as Dual(w_i, B[i, :]), so the slots carry
+    derivatives in z. The gradient is bit-identical to the one grad_hess
+    returns.
     """
     value, grad = _seeded(fld, y, Dual)
     if np.ndim(y) == 1:
@@ -445,11 +447,12 @@ def grad_hess(fld: ScalarField, y):
     """Value, gradient, and Hessian of ``fld`` via hyper-duals.
 
     ``y`` is one point (n,), giving (float, (n,), (n, n)), or stacked rows
-    (R, n), giving ((R,), (R, n), (R, n, n)). One field evaluation carries
-    all rows and all n(n+1)/2 index pairs (first, second): coordinate i of
-    w = B z is seeded as HyperDual(w_i, B[i, :]), as in gradients, so the d1
-    part is the gradient and d12 is exactly d2f/dz_first dz_second. The
-    Hessian is symmetric by construction (the (j, i) entry mirrors (i, j)).
+    (R, n), giving ((R,), (R, n), (R, n, n)). Each field evaluation carries
+    a block of points (see the module docstring) and all n(n+1)/2 index
+    pairs (first, second): coordinate i of w = B z is seeded as
+    HyperDual(w_i, B[i, :]), as in gradients, so the d1 part is the gradient
+    and d12 is exactly d2f/dz_first dz_second. The Hessian is symmetric by
+    construction (the (j, i) entry mirrors (i, j)).
     """
     value, grad, mixed = _seeded(fld, y, HyperDual)
     return _second_order(y, value[:, 0], grad, mixed)
@@ -485,10 +488,11 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     """Central-difference value/gradient/Hessian, O(h^2) accurate, shaped as grad_hess's.
 
     Steps are _scaled_step's, taken before any pre-map; the 2n^2 + 1 stencil
-    points of every row, grouped by row, go through one float evaluation of the
-    field per block of whole points (_in_blocks). Independent of the hyper-dual
-    path, and its oracle. Raises _scaled_step's ValueError before any
-    evaluation, and DomainViolation if a stencil point leaves the guard.
+    points of every row, grouped by row, go through float evaluations of the
+    field, a block of points each (_blockwise, as for grad_hess). Independent
+    of the hyper-dual path, and its oracle. Raises _scaled_step's ValueError
+    before any evaluation, and DomainViolation if a stencil point leaves the
+    guard.
     """
     rows = point_rows(y, fld.dim)
     step = _scaled_step(h, rows)[:, None]  # (R, 1)
@@ -499,17 +503,9 @@ def fd_grad_hess(fld: ScalarField, y, h: float = 1e-5):
     ei, ej = seeds.eye[seeds.first[~seeds.diagonal]], seeds.eye[seeds.second[~seeds.diagonal]]
     pairs = np.stack([ei + ej, ei - ej, ej - ei, -ei - ej], axis=1).reshape(-1, n)
     stencil = np.concatenate([np.zeros((1, n)), seeds.eye, -seeds.eye, pairs])
-    # a point: one matrix of a stack of P > 1 with its rows, else a row (one matrix serves all)
-    stack = None if fld.pre is None or fld.pre.size == n * n else fld.pre.reshape(-1, n, n)
-    per = 1 if stack is None else _per_point(len(rows), len(stack))
-    def values(b):  # [the field at the stencils of points b's rows, (rows, 2n^2 + 1)]
-        part = fld if stack is None else replace(fld, pre=stack[b])
-        r = slice(b.start * per, b.stop * per)
-        w = _guarded_rows(part, (rows[r, None, :] + step[r, :, None] * stencil).reshape(-1, n))
-        out = fld.func(w.T.copy()[:, None, :, None])
-        return [np.full((1, len(w), 1), out, float).reshape(-1, len(stencil))]
-    points = len(rows) if stack is None else len(stack)
-    f, = _in_blocks(values, points, per * len(stencil) * n) or values(slice(0, points))
+    f, = _blockwise(fld, len(rows), len(stencil) * n, float,
+                    lambda r: (rows[r, None, :] + step[r, :, None] * stencil).reshape(-1, n))
+    f = f.reshape(len(rows), len(stencil))
     value, plus, minus, cross = np.split(f, [1, n + 1, 2 * n + 1], axis=1)
     pp, pm, mp, mm = np.moveaxis(cross.reshape(len(rows), len(ei), 4), -1, 0)  # signs of i, j
     upper = np.empty((len(rows), seeds.first.size))

@@ -149,10 +149,11 @@ def weingarten_oracle(fld: ScalarField, y, h: float = 1e-5,
     _scaled_step, whose ValueError comes before any evaluation). The
     difference quotient is projected back onto the frame and the matrix
     symmetrized by transpose averaging. Entirely independent of the
-    Hessian-formula route except for the field itself. All 2(n-1) stencil
-    points of every row of a (P, n) y go through one first-order field
-    evaluation, grouped by row (the layout a per-row field such as
-    indicatrix.adapted_field expects); ``h`` is one step, or one per row.
+    Hessian-formula route except for the field itself. The 2(n-1) stencil
+    points of every row of a (P, n) y go through gradients' first-order
+    evaluations grouped by row, the layout a per-row field such as
+    indicatrix.adapted_field expects (under its pre-map, a row's stencil is
+    one point of autodiff's block rule); ``h`` is one step, or one per row.
     ``frame`` is the tangent frame at y when the caller already has it;
     otherwise it is completed from the gradient at y.
     """

@@ -546,14 +546,16 @@ class TestChunks:
                 one_point = max(n * n * (n + 1) // 2, 2 * (n - 1) * n * n,
                                 n * (2 * n * n + 1) if method == "fd" else 0)
                 assert max(widths) <= max(one_point, autodiff.STACK_FLOATS), (n, method)
-        # fd keeps the budget under a pre-map of one matrix (blocked by rows) or of one
-        # matrix per 2 rows (by whole matrices); unblocked, 4,000 rows at n = 3 are 228,000
+        # every route keeps the budget under a pre-map of one matrix (blocked by rows) or of
+        # one matrix per 2 rows (by whole matrices); unblocked, 4,000 rows at n = 3 are
+        # 228,000 floats for fd and 72,000 for grad_hess
         rows = np.random.default_rng(3).standard_normal((4000, 3))
         for pre in (np.eye(3), np.tile(np.eye(3), (2000, 1, 1))):
-            widths.clear()
-            autodiff.fd_grad_hess(dataclasses.replace(energy_field(fc.euclidean(3)), pre=pre),
-                                  rows)
-            assert max(widths) <= autodiff.STACK_FLOATS, pre.shape
+            fld = dataclasses.replace(energy_field(fc.euclidean(3)), pre=pre)
+            for route in (autodiff.grad_hess, autodiff.gradients, autodiff.fd_grad_hess):
+                widths.clear()
+                route(fld, rows)
+                assert max(widths) <= autodiff.STACK_FLOATS, (route.__name__, pre.shape)
 
     def test_bad_point_isolated_by_bisection(self, monkeypatch):
         fund = catalog(3)["pnorm"]

@@ -14,6 +14,7 @@ from finslercurv.metrics import energy_field
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from test_controls import EPS, bent  # noqa: E402
 from test_indicatrix import report_bits  # noqa: E402
 
 
@@ -54,16 +55,19 @@ def test_batched_reports_match_solo_and_claims_hold(fund, count, chunk, seed):
 
 @hypothesis.settings(max_examples=20)
 @hypothesis.given(fund=randers_norms(), data=st.data(), points=st.integers(1, 6),
-                  per_point=st.integers(1, 3), pre=st.booleans(), seed=st.integers(0, 2**16))
+                  per_point=st.integers(1, 3), pre=st.sampled_from(("none", "matrix", "stack")),
+                  seed=st.integers(0, 2**16))
 def test_blocks_never_change_bits(fund, data, points, per_point, pre, seed):
     # any budget from 1 float up to the unblocked width gives every route the bits of one
-    # unblocked evaluation, and every report the bits of its point alone
+    # unblocked evaluation, and every report the bits of its point alone; a point is a row
+    # without a pre-map or under one (n, n) matrix, and a matrix with its rows in a stack
     n = fund.dim
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((points * per_point, n))
     energy = energy_field(fund)
-    fld = replace(energy, pre=np.eye(n) + 0.3 * rng.standard_normal((points, n, n))) \
-        if pre else energy
+    shape = {"none": None, "matrix": (n, n), "stack": (points, n, n)}[pre]
+    fld = energy if shape is None else \
+        replace(energy, pre=np.eye(n) + 0.3 * rng.standard_normal(shape))
     routes = (autodiff.grad_hess, autodiff.gradients, autodiff.fd_grad_hess)
     unblocked = len(y) * n * (2 * n * n + 1)  # the widest of the three
     with pytest.MonkeyPatch.context() as mp:
@@ -79,6 +83,19 @@ def test_blocks_never_change_bits(fund, data, points, per_point, pre, seed):
     for method in ind.METHODS:
         for point, rep in zip(summary.points, summary.reports[method]):
             assert report_bits(rep) == report_bits(fc.adapted_report(fund, point, method))
+
+
+@hypothesis.settings(max_examples=25)
+@hypothesis.given(dim=st.integers(2, 8), seed=st.integers(0, 2**16))
+def test_bent_residual_linear_in_delta(dim, seed):
+    # H(δ) = 1 + c δ + e with |e| <= E, H's rounding, so R = residual_H = |H - 1| has
+    # |R(2δ) - 2 R(δ)| <= |e(2δ) - 2 e(δ)| + O(δ^2) <= 3 E. E = 8 ε is twice the unbent norm's
+    # worst |H - 1| (4 ε over 2,700 points at n = 2-8), for the pow rounding a δ adds;
+    # 10 ε is the worst measured over that sweep
+    one, two = ([rep.residual_H for rep in fc.verify_claims(
+        bent(dim, delta), count=10, seed=seed, methods=("hyperdual",)).reports["hyperdual"]]
+        for delta in (1e-9, 2e-9))
+    assert np.all(np.abs(np.array(two) - 2.0 * np.array(one)) <= 3 * 8 * EPS)
 
 
 POWER_SUMS = {"pnorm": (fc.pnorm, "p"), "mroot": (fc.mroot, "m")}
