@@ -53,7 +53,7 @@ from .numkernel import _first, _norms
 _SCALARS = (int, float, np.floating, np.ndarray)
 
 # Floats in the widest array (n coordinates x rows x slots) of one field evaluation,
-# 368 KB as in the n = 6 oracle of a 128-point chunk; chunk_points sizes chunks by it.
+# 368 KB, sized on the n = 6 oracle of 128 points; chunk_points sizes chunks by it.
 STACK_FLOATS = 46_080
 
 

@@ -42,41 +42,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub, metric: bool = True):
-    if metric:
-        sub.add_argument("--metric", required=True, dest="metric_spec", metavar="METRIC",
-                         help="metric spec string")
-    sub.add_argument("--dim", type=int, default=None, help="ambient dimension")
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--tol", type=float, default=1e-8)
-    sub.add_argument("--method", choices=ind.METHODS, default="hyperdual")
-    sub.add_argument("--fd-step", type=float, default=1e-5, dest="fd_step")
-    sub.add_argument("--output", default=None, help="write the report to a file")
-    sub.add_argument("--format", choices=FORMATS, default="text", dest="fmt")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes exactly the options its handler reads, each defined once."""
+    options = {
+        "--metric": {"required": True, "dest": "metric_spec", "metavar": "METRIC",
+                     "help": "metric spec string"},
+        "--dim": {"type": int, "default": None, "help": "ambient dimension"},
+        "--seed": {"type": int, "default": 42},
+        "--tol": {"type": float, "default": 1e-8},
+        "--method": {"choices": ind.METHODS, "default": "hyperdual"},
+        "--fd-step": {"type": float, "default": 1e-5, "dest": "fd_step"},
+        "--output": {"default": None, "help": "write the report to a file"},
+        "--format": {"choices": FORMATS, "default": "text", "dest": "fmt"},
+        "--samples": {"type": int, "default": 100},
+        "--point": {"required": True, "help": "comma-separated coordinates"},
+        "--trials": {"type": int, "default": 1000},
+    }
+    commands = {
+        "verify": ("verify curvature claims on a sample", "--metric --dim --seed --tol "
+                   "--method --fd-step --output --format --samples"),
+        "curvature": ("curvature report at one point", "--metric --dim --tol --method "
+                      "--fd-step --output --format --point"),
+        "sample": ("emit seeded indicatrix points", "--metric --dim --seed --method "
+                   "--fd-step --output --format --samples"),
+        "lemma-test": ("trace-reduction cross-check",
+                       "--dim --seed --tol --output --format --trials"),
+    }
     parser = _Parser(prog="finslercurv", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    verify = subs.add_parser("verify", help="verify curvature claims on a sample")
-    _add_common(verify)
-    verify.add_argument("--samples", type=int, default=100)
-
-    curv = subs.add_parser("curvature", help="curvature report at one point")
-    _add_common(curv)
-    curv.add_argument("--point", required=True, help="comma-separated coordinates")
-
-    sample = subs.add_parser("sample", help="emit seeded indicatrix points")
-    _add_common(sample)
-    sample.add_argument("--samples", type=int, default=100)
-
-    lemma = subs.add_parser("lemma-test", help="trace-reduction cross-check")
-    _add_common(lemma, metric=False)
-    lemma.add_argument("--trials", type=int, default=1000)
-    lemma.set_defaults(dim=3)
-
+    for command, (summary, names) in commands.items():
+        sub = subs.add_parser(command, help=summary)
+        for name in names.split():
+            sub.add_argument(name, **options[name])
+    subs.choices["lemma-test"].set_defaults(dim=3)
     return parser
 
 
@@ -122,14 +121,15 @@ def parse_args(argv) -> argparse.Namespace:
     for name, low in (("samples", 1), ("seed", 0), ("trials", 1)):
         if getattr(args, name, low) < low:
             raise UsageError(f"--{name} must be >= {low}")
-    if not args.tol > 0.0:
+    if not getattr(args, "tol", 1.0) > 0.0:
         raise UsageError("--tol must be positive")
-    if not 0.0 < args.fd_step <= 1e-2:
-        raise UsageError("--fd-step must lie in (0, 1e-2]")
-    try:
-        check_step(args.fd_step)
-    except ValueError as exc:
-        raise UsageError(f"--fd-step: {exc}") from None
+    if hasattr(args, "fd_step"):
+        if not 0.0 < args.fd_step <= 1e-2:
+            raise UsageError("--fd-step must lie in (0, 1e-2]")
+        try:
+            check_step(args.fd_step)
+        except ValueError as exc:
+            raise UsageError(f"--fd-step: {exc}") from None
 
     if hasattr(args, "metric_spec"):
         # Validate the metric spec eagerly so bad specs fail with exit 2.
@@ -248,8 +248,8 @@ def _run_curvature(args):
 
 
 def _run_sample(args):
-    summary = ind.verify_claims(  # verify's pipeline, so its CSV is verify's
-        args.fund, count=args.samples, seed=args.seed, tol=args.tol,
+    summary = ind.verify_claims(  # verify's pipeline, so its CSV is verify's; no verdict
+        args.fund, count=args.samples, seed=args.seed,
         methods=(args.method,), fd_step=args.fd_step)
     records = _point_records(summary.points, summary.reports[args.method], args.fund)
 

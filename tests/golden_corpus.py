@@ -109,6 +109,11 @@ CLI_CASES = {
                              "--method", "fd", "--fd-step", "1e-300"],
     "error-curvature-fd-step": ["curvature", "--metric", "euclidean", "--dim", "3",
                                 "--point", "1,2,3", "--method", "fd", "--fd-step", "1e-300"],
+    # options no handler reads are not taken: curvature draws no sample, lemma-test
+    # differentiates nothing
+    "error-curvature-unread-seed": ["curvature", "--metric", "euclidean", "--dim", "2",
+                                    "--point", "1,1", "--seed", "1"],
+    "error-lemma-unread-fd-step": ["lemma-test", "--trials", "2", "--fd-step", "1e-300"],
     # the oracle's step falls below 2**-511 here; verify and sample record it per point
     "error-curvature-tiny-scale": ["curvature", "--metric", "quadratic:A=1e-300,1e-300",
                                    "--dim", "2", "--point", "1,1"],

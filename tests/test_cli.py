@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import string
 import subprocess
 import sys
@@ -670,3 +671,78 @@ class TestFormatConsistency:
         assert cli.main(argv + ["--output", str(path)]) == 0
         assert capsysbinary.readouterr().out == b""
         assert path.read_bytes() == stdout
+
+
+# Each subcommand's base command line, and for every option it takes a value that must
+# change the run; None stands for a file under the test's tmp_path. --tol makes the
+# verdict FAIL, and --fd-step is compared with both runs under --method fd.
+OPTION_BASES = {
+    "verify": ["verify", "--metric", "pnorm:p=4", "--dim", "3", "--samples", "3"],
+    "curvature": ["curvature", "--metric", "pnorm:p=4", "--dim", "3", "--point", "1,-2,1.5"],
+    "sample": ["sample", "--metric", "pnorm:p=4", "--dim", "3", "--samples", "3"],
+    "lemma-test": ["lemma-test", "--trials", "3"],
+}
+OPTION_VALUES = {
+    "verify": {"--metric": "euclidean", "--dim": "4", "--seed": "7", "--tol": "1e-20",
+               "--method": "fd", "--fd-step": "1e-3", "--output": None, "--format": "json",
+               "--samples": "4"},
+    "curvature": {"--metric": "euclidean", "--dim": "4", "--tol": "1e-20", "--method": "fd",
+                  "--fd-step": "1e-3", "--output": None, "--format": "json",
+                  "--point": "1,2,1.5"},
+    "sample": {"--metric": "euclidean", "--dim": "4", "--seed": "7", "--method": "fd",
+               "--fd-step": "1e-3", "--output": None, "--format": "json", "--samples": "4"},
+    "lemma-test": {"--dim": "4", "--seed": "7", "--tol": "1e-30", "--output": None,
+                   "--format": "json", "--trials": "4"},
+}
+# options a subcommand's handler does not read, so the subcommand does not take them
+UNREAD = [("curvature", "--seed", "1"), ("sample", "--tol", "1e-20"),
+          ("lemma-test", "--method", "fd"), ("lemma-test", "--fd-step", "1e-3")]
+
+
+def help_options(capsys, command):
+    """The options ``command --help`` lists, one a line as ``  --name``."""
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    return re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+
+
+def with_option(argv, option, value):
+    """``argv`` with ``option`` set to ``value``, replacing any value it had."""
+    argv = list(argv)
+    if option in argv:
+        at = argv.index(option)
+        del argv[at:at + 2]
+    return argv + [option, value]
+
+
+class TestEveryOptionIsRead:
+    def test_every_option_has_a_case(self, capsys):
+        for command, values in OPTION_VALUES.items():
+            unread = {option for name, option, _ in UNREAD if name == command}
+            assert set(help_options(capsys, command)) <= set(values) | unread, command
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, values in OPTION_VALUES.items() for option in values],
+        ids=lambda item: item)
+    def test_option_changes_the_run(self, capsys, tmp_path, command, option):
+        # stdout, stderr, the exit code or the --output file must differ from the base run
+        assert option in help_options(capsys, command)
+        base = OPTION_BASES[command] + (["--method", "fd"] if option == "--fd-step" else [])
+        value = OPTION_VALUES[command][option] or str(tmp_path / "report")
+
+        def run(argv):
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            written = [path.read_text() for path in tmp_path.iterdir()]
+            return code, out, err, written
+
+        before, after = run(base), run(with_option(base, option, value))
+        assert before != after
+        assert option != "--tol" or (before[0], after[0]) == (0, 1)  # the verdict flips
+
+    @pytest.mark.parametrize("command, option, value", UNREAD, ids=lambda item: item)
+    def test_unread_option_exits_two(self, capsys, command, option, value):
+        assert option not in help_options(capsys, command)
+        assert cli.main(OPTION_BASES[command] + [option, value]) == 2
+        assert capsys.readouterr() == (
+            "", f"finslercurv: error: unrecognized arguments: {option} {value}\n")
