@@ -55,6 +55,9 @@ _SCALARS = (int, float, np.floating, np.ndarray)
 # Floats in the widest array (n coordinates x rows x slots) of one field evaluation,
 # 368 KB, sized on the n = 6 oracle of 128 points; chunk_points sizes chunks by it.
 STACK_FLOATS = 46_080
+# _pair gathers a d1 of at most this many floats (one point's, to n = 8) by take, at half
+# the fixed cost of indexing; from 100-200 floats indexing's per-element loop is faster.
+_TAKE_FLOATS = 64
 
 
 class Dual:
@@ -185,10 +188,12 @@ class HyperDual(Dual):
         return self.real, self.d1, self.d12
 
     def _pair(self):
-        """d1 at each index pair's first and second entry; a float d1 is its own pair."""
+        """d1 at each pair's first and second entry (take if small); a float d1 is its own pair."""
         if not isinstance(self.d1, np.ndarray):
             return self.d1, self.d1
         seeds = _seeds(self.d1.shape[-1])
+        if self.d1.size <= _TAKE_FLOATS:
+            return self.d1.take(seeds.first, axis=-1), self.d1.take(seeds.second, axis=-1)
         return self.d1[..., seeds.first], self.d1[..., seeds.second]
 
     def __mul__(self, other):

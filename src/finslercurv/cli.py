@@ -76,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names.split():
             sub.add_argument(name, **options[name])
     subs.choices["lemma-test"].set_defaults(dim=3)
+    parser.commands = subs.choices  # each subcommand's own parser, for parse_args
     return parser
 
 
@@ -107,9 +108,13 @@ def _join_point_value(argv) -> list:
 def parse_args(argv) -> argparse.Namespace:
     """Parse and validate the command line; the namespace is the run's configuration.
 
-    ``point`` is parsed, and a subcommand with ``--metric`` gains ``fund``.
+    ``point`` is parsed, and a subcommand with ``--metric`` gains ``fund``. A named subcommand's
+    own parser reads its options; the top-level parser only prints help or a subcommand error.
     """
-    args = _parser().parse_args(_join_point_value(argv))
+    argv, parser = _join_point_value(argv), _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    args = (parser.parse_args(argv) if sub is None
+            else sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
     if hasattr(args, "point"):
         try:
             args.point = np.asarray([float(v) for v in args.point.split(",")], dtype=float)

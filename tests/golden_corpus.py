@@ -125,6 +125,13 @@ CLI_CASES = {
                               "--point", "-x,1"],
     "error-spec-value-without-name": ["verify", "--metric", "quadratic:1", "--dim", "2"],
     "error-randers-bad-covector": ["verify", "--metric", "randers:a=1,1,b=x,0", "--dim", "2"],
+    # the top-level parser's errors: no, an unknown, or a misplaced subcommand
+    "error-no-subcommand": [],
+    "error-unknown-subcommand": ["bogus"],
+    "error-option-before-subcommand": ["--metric", "euclidean", "verify"],
+    # a subcommand's own parser's errors
+    "error-curvature-missing-required": ["curvature", "--dim", "3"],
+    "error-verify-dim-without-value": ["verify", "--dim"],
 }
 DEMO_CASES = {f"demo-{path.stem}": [str(path.relative_to(ROOT))]
               for path in sorted((ROOT / "demos").glob("*.py"))}

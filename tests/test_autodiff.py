@@ -166,13 +166,29 @@ class TestPartwiseOperations:
             assert type(out) is kind
             assert shaped_bits(out._parts()) == shaped_bits(want)
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_hyperdual_mixes_its_gradient_at_each_index_pair(self, n):
-        # pair k's eps1 and eps2 parts are d1 at first[k] and at second[k]
+    @pytest.mark.parametrize("n, layout", [
+        *[pytest.param(n, "contiguous", id=str(n)) for n in (1, 3, 6)],
+        *[pytest.param(n, "seeded", id=f"{n}-seeded") for n in (1, 3, 6)],
+        pytest.param(6, "wide", id="6-wide")])
+    def test_hyperdual_mixes_its_gradient_at_each_index_pair(self, n, layout):
+        # pair k's eps1 and eps2 parts are d1 at first[k] and at second[k], by take or by
+        # indexing: a seeded d1 is _evaluated's non-contiguous (n, P, 1, n) view of a
+        # (P, n, n) pre-map stack; seeded at n = 6 and wide, d1 is too big for take
         rng = np.random.default_rng(n)
         first, second = np.triu_indices(n)
-        x, y = [HyperDual(rng.standard_normal((2, 4, 1)), rng.standard_normal((2, 1, n)),
-                          rng.standard_normal((2, 1, first.size))) for _ in range(2)]
+        lead = {"contiguous": (2, 4), "seeded": (n, 2, 4), "wide": (2, 16)}[layout]
+
+        def operand():
+            real = rng.standard_normal(lead + (1,))
+            if layout == "seeded":
+                d1 = rng.standard_normal((2, n, n)).transpose(1, 0, 2)[:, :, None]
+            else:
+                d1 = rng.standard_normal((2, 16 if layout == "wide" else 1, n))
+            return HyperDual(real, d1, rng.standard_normal(lead[:-1] + (1, first.size)))
+
+        x, y = operand(), operand()
+        assert x.d1.flags.c_contiguous != (layout == "seeded" and n > 1)
+        assert (x.d1.size > autodiff._TAKE_FLOATS) == (n == 6 and layout != "contiguous")
         a1, a2, b1, b2 = x.d1[..., first], x.d1[..., second], y.d1[..., first], y.d1[..., second]
         assert shaped_bits((x * y)._parts()) == shaped_bits([
             x.real * y.real, x.real * y.d1 + x.d1 * y.real,

@@ -19,11 +19,6 @@ from finslercurv.metrics import FundamentalFunction, eval_F, parse_metric_spec
 from test_indicatrix import reference_aggregate, report_columns
 
 
-def run_cli(argv, capsys=None):
-    code = cli.main(argv)
-    return code
-
-
 class TestParseArgs:
     def test_verify_defaults(self, tmp_path):
         a = tmp_path / "a.json"
@@ -746,3 +741,41 @@ class TestEveryOptionIsRead:
         assert cli.main(OPTION_BASES[command] + [option, value]) == 2
         assert capsys.readouterr() == (
             "", f"finslercurv: error: unrecognized arguments: {option} {value}\n")
+
+
+def parsed(argv):
+    """parse_args's namespace for ``argv`` with plain values but no fund, or its usage error."""
+    try:
+        args = cli.parse_args(argv)
+    except UsageError as exc:
+        return str(exc)
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in vars(args).items() if key != "fund"}
+
+
+class TestDirectDispatch:
+    """A named subcommand's own parser reads its options as the top-level parser would."""
+
+    def test_namespace_is_the_top_level_parse(self, monkeypatch):
+        argvs = [argv for command, base in OPTION_BASES.items() for argv in [
+            base, *[with_option(base, option, value or "report")
+                    for option, value in OPTION_VALUES[command].items()]]]
+        argvs += [OPTION_BASES[command] + [option, value] for command, option, value in UNREAD]
+        direct = [parsed(argv) for argv in argvs]
+        assert [config for config in direct if isinstance(config, str)] == [
+            "--point has 3 coordinates but dim is 4",  # curvature --dim 4
+            *[f"unrecognized arguments: {option} {value}" for _, option, value in UNREAD]]
+        monkeypatch.setattr(cli._parser(), "commands", {})  # every argv through the top level
+        assert [parsed(argv) for argv in argvs] == direct
+
+    @pytest.mark.parametrize("command", OPTION_BASES)
+    def test_help_is_the_top_level_help(self, capsys, monkeypatch, command):
+        def help_text():
+            with pytest.raises(SystemExit) as stop:
+                cli.parse_args([command, "--help"])
+            assert stop.value.code == 0
+            return capsys.readouterr()
+
+        direct = help_text()
+        monkeypatch.setattr(cli._parser(), "commands", {})
+        assert help_text() == direct
