@@ -277,25 +277,6 @@ def sqrt(x):
     return np.sqrt(x)
 
 
-def exp(x):
-    """Exponential for floats, arrays, or (hyper-)dual numbers."""
-    if isinstance(x, Dual):
-        e = np.exp(x.real)
-        return x._lift(e, e, e)
-    return np.exp(x)
-
-
-def log(x):
-    """Natural logarithm for floats, arrays, or (hyper-)dual numbers."""
-    if isinstance(x, Dual):
-        a = x.real
-        if (np.asarray(a) <= 0.0).any():
-            raise DomainViolation("log needs positive real part")
-        inv = 1.0 / a
-        return x._lift(np.log(a), inv, -inv * inv)
-    return np.log(x)
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar function of an n-vector together with its validity domain.

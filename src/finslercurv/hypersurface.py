@@ -151,9 +151,10 @@ def weingarten_oracle(fld: ScalarField, y, h: float = 1e-5,
     symmetrized by transpose averaging. Entirely independent of the
     Hessian-formula route except for the field itself. The 2(n-1) stencil
     points of every row of a (P, n) y go through gradients' first-order
-    evaluations grouped by row, the layout a per-row field such as
-    indicatrix.adapted_field expects (under its pre-map, a row's stencil is
-    one point of autodiff's block rule); ``h`` is one step, or one per row.
+    evaluations grouped by row, the layout of a field with one pre-map matrix
+    per row, such as indicatrix.adapted_field(fund, chol) for a (P, n, n)
+    chol (a row's stencil is then one point of autodiff's block rule);
+    ``h`` is one step, or one per row.
     ``frame`` is the tangent frame at y when the caller already has it;
     otherwise it is completed from the gradient at y.
     """

@@ -243,23 +243,17 @@ def _sample_chunks(fund: FundamentalFunction, count: int, seed: int) -> list[_Ch
     return _per_chunk(partial(_indicatrix_points, fund), draws, fund.dim)
 
 
-def adapted_field(fund: FundamentalFunction, point) -> ScalarField:
-    """The defining field pulled back to the adapted coordinates of ``point``.
+def adapted_field(fund: FundamentalFunction, chol) -> ScalarField:
+    """The defining field pulled back to the adapted coordinates of each Cholesky factor.
 
-    ``point`` is one IndicatrixPoint or a sequence of P of them. The field
-    is the defining field with the pre-map B = chol^-T, which maps adapted
-    coordinates z to original ones w = B z, as a (P, n, n) stack (P = 1
-    for a single point, 0 for none), so the field takes stacked rows
-    grouped by point (of R rows, each consecutive block of R / P rows
+    ``chol`` is a (P, n, n) stack of factors of g, one per point (one (n, n)
+    factor is P = 1, an empty stack P = 0). The field is the defining field
+    with the pre-map B = chol^-T, which maps adapted coordinates z to
+    original ones w = B z, as a (P, n, n) stack, so the field takes stacked
+    rows grouped by point (of R rows, each consecutive block of R / P rows
     belongs to one point, in order).
     """
-    points = [point] if isinstance(point, IndicatrixPoint) else point
-    return _adapted_field(fund, np.array([p.chol for p in points]).reshape(-1, fund.dim, fund.dim))
-
-
-def _adapted_field(fund: FundamentalFunction, chol: np.ndarray) -> ScalarField:
-    """adapted_field for a (P, n, n) stack of Cholesky factors."""
-    back = np.linalg.inv(chol.swapaxes(-1, -2))
+    back = np.linalg.inv(np.reshape(chol, (-1, fund.dim, fund.dim)).swapaxes(-1, -2))
     return ScalarField(fund.dim, defining_field(fund).func, fund.guard_rows, back)
 
 
@@ -292,7 +286,7 @@ def _chunk_reports(fund, chunk: _Chunk, method, fd_step) -> tuple[list, np.ndarr
     point: it uses that g only through the Cholesky pull-back B = chol^-T,
     so the claims compare two independent evaluations of g.
     """
-    fld = _adapted_field(fund, chunk.chol)
+    fld = adapted_field(fund, chunk.chol)
     z = chunk.z
     derive = grad_hess if method == "hyperdual" else lambda f, y: fd_grad_hess(f, y, fd_step)
     ev = defining_evaluation(z, *derive(fld, z), on_surface=True)

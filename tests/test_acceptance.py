@@ -92,7 +92,7 @@ def test_criterion_5_weingarten_oracle_agreement(sweep, capsys):
     for family, dim, seed in (("randers", 3, 71), ("quadratic", 4, 72)):
         fund = catalog(dim)[family]
         point = fc.sample_indicatrix(fund, 1, seed)[0]
-        fld = adapted_field(fund, point)
+        fld = adapted_field(fund, point.chol)
         z = point.y_adapted
         ev = evaluate_defining(fld, z, on_surface=True)
         exact = shape_operator(ev).entries

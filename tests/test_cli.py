@@ -79,6 +79,14 @@ class TestParseArgs:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"finslercurv: error: {message}\n"
 
+    @pytest.mark.parametrize("step", ["0", "0.02"])
+    def test_fd_step_outside_its_range_exits_two(self, capsys, step):
+        # the range check comes before check_step, so 0 is named by the range
+        assert cli.main(["verify", "--metric", "euclidean", "--dim", "3",
+                         "--fd-step", step]) == 2
+        assert capsys.readouterr().err == \
+            "finslercurv: error: --fd-step must lie in (0, 1e-2]\n"
+
     def test_parser_built_once(self, monkeypatch):
         calls = []
         build = cli.build_parser
@@ -556,6 +564,15 @@ class TestOtherCommands:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["max_delta"] <= 1e-10
+
+    def test_lemma_test_ties(self, capsys):
+        # at dim 2, seed 42, trials 1 and 2 tie at the largest delta: the worst trial is the
+        # first of them, and a tolerance equal to it passes
+        largest = 2.220446049250313e-16
+        assert cli.main(["lemma-test", "--dim", "2", "--trials", "3", "--tol", repr(largest),
+                         "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["max_delta"], record["worst_trial"], record["pass"]) == (largest, 1, True)
 
 
 class TestGrammarFuzz:

@@ -69,3 +69,11 @@ def test_bent_residual_doubles_with_delta():
     one, two = (np.array([rep.residual_H for rep in bent_summary(d).reports["hyperdual"]])
                 for d in (1e-9, 2e-9))
     assert np.all(np.abs(two / one - 2.0) <= 1e-5)
+
+
+def test_homogeneity_check_measures_the_bend():
+    # F(lam y) = lam^(1+δ) F(y) and g(lam y) = lam^(2δ) g(y), so the relative residuals
+    # are lam^δ - 1 and lam^(2δ) - 1
+    res_f, res_g = fc.check_homogeneity(bent(3, 0.1), [1.0, 2.0, 2.0], 2.0)
+    assert abs(res_f - (2.0 ** 0.1 - 1.0)) <= 1e-14
+    assert abs(res_g - (2.0 ** 0.2 - 1.0)) <= 1e-13

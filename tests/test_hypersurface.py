@@ -68,6 +68,13 @@ class TestEvaluateDefining:
             fc.evaluate_defining(fc.ScalarField(2, lambda z: z[0] * z[0] + z[1] * z[1]),
                                  [0.0, 0.0])
 
+    def test_gradient_floor_brackets(self):
+        # GRADIENT_FLOOR = 1e-10: |grad f| = 7e-11 vanishes, 1.5e-10 does not
+        with pytest.raises(VanishingGradient, match=r"^\|grad f\| = 7.000e-11$"):
+            hypersurface.defining_evaluation(np.zeros(2), 0.0, np.array([7e-11, 0.0]), np.eye(2))
+        ev = hypersurface.defining_evaluation(np.zeros(2), 0.0, np.array([1.5e-10, 0.0]),
+                                              np.eye(2))
+        assert ev.grad_norm == 1.5e-10 and np.array_equal(ev.normal, [1.0, 0.0])
 
     @pytest.mark.parametrize("gradient", [[np.nan, 0.0], [[1.0, 0.0], [np.nan, np.nan]]])
     def test_nan_gradient_counts_as_vanishing(self, gradient):
@@ -320,7 +327,8 @@ EMPTY_CASES = {  # name: (result on a (0, N) stack, its shapes)
         fc.shape_operator(_on_empty_stack(fld))), ((0, N - 1, N - 1), (0, N - 1), (0,))),
     "weingarten_oracle": (lambda fund, fld: _with_eigenvalues(fc.weingarten_oracle(fld, EMPTY)),
                           ((0, N - 1, N - 1), (0, N - 1), (0,))),
-    "adapted_field": (lambda fund, fld: indicatrix.adapted_field(fund, []).pre, (0, N, N)),
+    "adapted_field": (lambda fund, fld: indicatrix.adapted_field(fund, EMPTY_MATRICES).pre,
+                      (0, N, N)),
     "complete_frame": (lambda fund, fld: fc.complete_frame(EMPTY),
                        {"normal": (0, N), "basis": (0, N - 1, N)}),
     "cholesky": (lambda fund, fld: fc.cholesky(EMPTY_MATRICES), (0, N, N)),

@@ -151,6 +151,14 @@ class TestSampling:
         with pytest.raises(RejectionOverflow):
             fc.sample_indicatrix(fund, 1, 0)
 
+    def test_rejection_overflow_where_only_the_diagonals_pass(self):
+        # margin * sqrt(n) = 0.5 * 2 = 1 exactly: min|y_i| >= |y| / sqrt(n) holds only on
+        # the diagonals, a set no draw hits
+        fund = fc.pnorm(4, 4, guard_margin=1 / 30)
+        assert ind.SAMPLING_MARGIN_FACTOR * fund.guard_margin * 2.0 == 1.0
+        with pytest.raises(RejectionOverflow, match=r"at dim 4; the largest dim it allows is 3$"):
+            fc.sample_indicatrix(fund, 1, 0)
+
     def test_negative_seed_rejected_before_first_draw(self, monkeypatch):
         def no_draws(seed=None):
             raise AssertionError("a generator was created")
@@ -224,6 +232,23 @@ class TestNormalization:
         alone = [fc.normalize_to_indicatrix(fund, row) for row in (on, near, off)]
         assert got.tobytes() == np.stack(alone).tobytes()  # a stack gives each row's own bits
         assert fc.indicatrix_point(fund, near).y.tobytes() == near.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stack_with_an_overflowing_row_scales_each_row_alone(self):
+        # both rows lie in the window, so the stack is evaluated at once; F of the second
+        # overflows there, and the stack then falls back to each row's own rule
+        fund = parse_metric_spec("pnorm:p=16", 3)
+        rows = [[1.0, -2.0, 1.5], EXTRA_ROWS["pnorm:p=16"]]
+        alone = np.stack([fc.normalize_to_indicatrix(fund, row) for row in rows])
+        assert np.abs(fc.eval_F(fund, alone) - 1.0).max() <= 1e-15
+        assert fc.normalize_to_indicatrix(fund, rows).tobytes() == alone.tobytes()
+
+    def test_row_whose_rescaled_power_sum_underflows_raises(self):
+        # at p = 4000 a row of largest entry 0.72 is left as it is by the power-of-two
+        # rescale, and 0.72^4000 underflows: F = 0 is named, never divided by
+        with pytest.raises(DomainViolation, match=r"^cannot scale point \[0.72, 0.72\] onto "
+                                                  r"the indicatrix: F = 0.0$"):
+            fc.normalize_to_indicatrix(fc.pnorm(2, 4000), [0.72, 0.72])
 
     @pytest.mark.parametrize("p", [12, 16])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -604,7 +629,7 @@ class TestMechanism:
         fc.grad_hess(fc.defining_field(fund), point.y)
         plain = len(products)
         products.clear()
-        fc.grad_hess(ind.adapted_field(fund, point), point.y_adapted)
+        fc.grad_hess(ind.adapted_field(fund, point.chol), point.y_adapted)
         assert plain > 0 and len(products) == plain
 
     def test_seed_tables_built_once_per_dimension(self, monkeypatch):

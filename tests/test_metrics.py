@@ -64,6 +64,12 @@ class TestConstruction:
     def test_randers_near_boundary_accepted(self):
         fc.randers(np.eye(2), [0.99, 0.0])
 
+    def test_randers_margin_brackets(self):
+        # RANDERS_MARGIN = 1e-6: b^T a^-1 b = 1 - 1.5e-6 passes, 1 - 7.5e-7 is rejected
+        fc.randers(np.eye(2), [np.sqrt(1.0 - 1.5e-6), 0.0])
+        with pytest.raises(InvalidParams, match="^randers data not strongly convex"):
+            fc.randers(np.eye(2), [np.sqrt(1.0 - 7.5e-7), 0.0])
+
     def test_odd_exponent_rejected(self):
         with pytest.raises(InvalidParams):
             fc.pnorm(3, 3)
@@ -296,6 +302,15 @@ class TestSpecGrammar:
     ])
     def test_malformed_specs(self, bad):
         with pytest.raises(UsageError):
+            parse_metric_spec(bad, dim=3)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("pnorm:p= 4", "metric spec must be a non-empty whitespace-free string"),
+        ("pnorm:p=4,p=6", "bad parameter token 'p=6'"),
+        ("pnorm:=4", "bad parameter token '=4'"),
+    ])
+    def test_malformed_spec_messages(self, bad, message):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             parse_metric_spec(bad, dim=3)
 
     def test_dim_mismatch(self):

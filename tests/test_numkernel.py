@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import finslercurv as fc
-from finslercurv.exceptions import NotPositiveDefinite, NotUnit
+from finslercurv.exceptions import DimensionMismatch, NotPositiveDefinite, NotUnit
 
 
 def random_spd(rng, n):
@@ -47,6 +47,21 @@ class TestCholesky:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             fc.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_one_by_one(self):
+        assert np.array_equal(fc.cholesky([[4.0]]), [[2.0]])
+
+    def test_non_square_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            fc.cholesky(np.ones((2, 3)))
+
+    def test_pivot_tolerance_brackets(self):
+        # PIVOT_REL_TOL = 1e-13: a pivot at 1.5e-13 of the largest diagonal entry passes,
+        # one at 7e-14 fails
+        fc.cholesky(np.diag([1.0, 1.5e-13]))
+        with pytest.raises(NotPositiveDefinite, match="^pivot 7.000e-14 is at most 1e-13 x"):
+            fc.cholesky(np.diag([1.0, 7e-14]))
 
     def test_tiny_pivot_rejected(self):
         # second pivot is ~1e-14 of the max diagonal entry
@@ -143,6 +158,23 @@ class TestInputChecks:
             fc.TangentFrame(np.array([1.0, 0.0]), np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError, match="^tangent basis is not orthogonal to the normal$"):
             fc.TangentFrame(np.array([np.nan, 0.0]), np.array([[0.0, 1.0]]))
+
+    def test_unit_tolerance_brackets(self):
+        # UNIT_TOL = 1e-10: length 1 + 7e-11 is unit, 1 + 1.5e-10 is not
+        fc.trace_reduction(np.eye(2), np.array([1.0 + 7e-11, 0.0]))
+        with pytest.raises(NotUnit, match="^vector is not unit length$"):
+            fc.trace_reduction(np.eye(2), np.array([1.0 + 1.5e-10, 0.0]))
+
+    def test_frame_tolerance_brackets(self):
+        # FRAME_TOL = 1e-12: a basis vector [t, 1] leaves the normal e1 by exactly t, and its
+        # Gram entry 1 + t^2 rounds to 1
+        fc.TangentFrame(np.array([1.0, 0.0]), np.array([[7e-13, 1.0]]))
+        with pytest.raises(ValueError, match="^tangent basis is not orthogonal to the normal$"):
+            fc.TangentFrame(np.array([1.0, 0.0]), np.array([[1.5e-12, 1.0]]))
+        # a basis vector of length 1 + s has Gram entry 1 + 2s + s^2
+        fc.TangentFrame(np.array([1.0, 0.0]), np.array([[0.0, 1.0 + 3.5e-13]]))
+        with pytest.raises(ValueError, match="^tangent basis is not orthonormal$"):
+            fc.TangentFrame(np.array([1.0, 0.0]), np.array([[0.0, 1.0 + 7.5e-13]]))
 
     def test_unit_tolerance_boundary(self):
         # within UNIT_TOL of length 1 passes, on one vector and on a stack
