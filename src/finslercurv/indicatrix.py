@@ -107,7 +107,8 @@ def normalize_to_indicatrix(fund: FundamentalFunction, direction) -> np.ndarray:
     """Scale a direction (or each row of a stack) onto the indicatrix, y = d / F(d): a row whose
     largest entry lies outside [2^(-200/e), 2^100], e the norm's degree (a power sum's exponent,
     else 2), or whose F over- or underflows, is first divided exactly by the power of two nearest
-    that entry. A row with |F - 1| <= 1e-10 comes back as given; one off the guard or with F
+    that entry, and by the entry itself where F still over- or underflows (a power sum of large
+    exponent). A row with |F - 1| <= 1e-10 comes back as given; one off the guard or with F
     not in (0, inf) raises DomainViolation naming it."""
     rows = point_rows(direction, fund.dim)
     big = np.abs(rows).max(axis=-1)
@@ -132,6 +133,9 @@ def _scaled_row(fund: FundamentalFunction, d: np.ndarray, big: float, low: float
         if not fund.guard(y):
             raise DomainViolation(f"point {d} is outside the guarded domain")
         f = eval_F(fund, y)
+        if not 0.0 < f < np.inf:  # a power sum of large exponent: make the largest entry 1
+            y = d / big
+            f = eval_F(fund, y)
     if not 0.0 < f < np.inf:  # also where a coordinate is not finite
         raise DomainViolation(f"cannot scale point {d.tolist()} onto the indicatrix: F = {f}")
     return y if y is d and abs(f - 1.0) <= 1e-10 else y / f

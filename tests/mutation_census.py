@@ -2,7 +2,7 @@
 
     python3 tests/mutation_census.py              # every mutant: about 20 min on 2 cores
     python3 tests/mutation_census.py --list       # enumerate the sites, run no mutant
-    python3 tests/mutation_census.py --only cli.py numkernel.py:101 --jobs 1
+    python3 tests/mutation_census.py --only cli.py numkernel.py:101
 
 A site is one line of a module under src/finslercurv. On a line that holds
 a comparison, arithmetic, bitwise or boolean operator (the whole operator
@@ -15,17 +15,24 @@ the line's first operator
 Sites run in a fixed order: module name, then line.
 
 Each mutant is its module rewritten with ``ast.unparse`` in a temporary
-copy of the checkout, never in the working tree; before any mutant, the
-copy with every module rewritten unchanged (the null mutant) must pass
-the suite, else the census exits 2. A mutant is killed when tier-1
+copy of the checkout (one copy, running one suite at a time, per usable
+core), never in the working tree; before any mutant, the copy with every
+module rewritten unchanged (the null mutant) must pass the suite, else
+the census exits 2. A mutant is killed when tier-1
 (``pytest -x``, hypothesis seed 0) fails on it, times out or runs out of
-its memory limit; it survives when the suite passes.
+its memory limit; it survives when the suite passes. The suite runs
+without tests/test_mutation_census.py, which checks the survivor list
+below against the committed sources, not the package's behaviour, and
+fails on any rewritten module.
 
 Every survivor must be listed in tests/mutation_survivors.txt, one line
-``<site>: <reason>`` each: why the mutant computes what the original does
-(an equivalent mutant), or why no test can tell the two apart yet. The
-census exits 1 when a survivor is not listed, or when a listed survivor
-was killed or names no site, so the list can only shrink; 0 otherwise.
+``<mutant id>: `<source line>` <reason>`` each, id and source line as --list
+prints them: why the mutant computes what the original does (an equivalent
+mutant), or why no test can tell the two apart yet. The census exits 1 when
+a survivor is not listed, or when a listed survivor was killed, names no
+site or names a line whose source changed, so the list can only shrink and
+an edit that moves lines cannot leave it pointing elsewhere; 0 otherwise.
+--list exits 1 on such a stale line too, and runs no mutant.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "finslercurv"
 SURVIVORS = ROOT / "tests" / "mutation_survivors.txt"
+SELF_TEST = "tests/test_mutation_census.py"  # left out of every mutant's suite
 # what a mutant's run reads: the package, the suite, the demos and README it replays, bench/
 COPIED = ("src", "tests", "demos", "bench", "README.md", "pyproject.toml")
 LEFTOVERS = ("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
@@ -69,7 +77,9 @@ SYMBOLS = {
     ast.Or: "or",
 }
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+SURVIVOR = re.compile(r"(?P<id>[^:]+:\d+ [^:]+): `(?P<source>[^`]*)` (?P<reason>\S.*)")
 MEMORY_LIMIT = 4 << 30  # address space of a mutant's suite; a runaway allocation is a kill
+NULL_TIMEOUT = 600.0    # seconds for the null mutant; a mutant gets 5x its time, at least 120
 
 
 class Mutant(NamedTuple):
@@ -165,16 +175,28 @@ def mutated_source(mutant: Mutant, source: str) -> str:
 
 
 def listed_survivors() -> dict[str, str]:
-    """tests/mutation_survivors.txt as {mutant id: reason}; '#' lines are comments."""
+    """tests/mutation_survivors.txt as {mutant id: its line's source}; '#' lines are comments."""
     listed = {}
     for number, text in enumerate(SURVIVORS.read_text(encoding="utf-8").splitlines(), 1):
         if not text.strip() or text.startswith("#"):
             continue
-        site, sep, reason = text.partition(": ")
-        if not sep or not reason.strip():
-            raise SystemExit(f"{SURVIVORS.name}:{number}: a survivor line is '<site>: <reason>'")
-        listed[site] = reason
+        line = SURVIVOR.fullmatch(text)
+        if line is None:
+            raise SystemExit(f"{SURVIVORS.name}:{number}: a survivor line is "
+                             "'<mutant id>: `<source line>` <reason>'")
+        listed[line["id"]] = line["source"]
     return listed
+
+
+def stale_survivors(every: list[Mutant], listed: dict[str, str]) -> list[str]:
+    """A message for each listed survivor that names no mutant or a line whose source changed."""
+    by_id, stale = {m.id: m for m in every}, []
+    for mutant_id, source in listed.items():
+        if mutant_id not in by_id:
+            stale.append(f"listed survivor names no site: {mutant_id}")
+        elif (now := _source_line(by_id[mutant_id]).strip()) != source:
+            stale.append(f"listed survivor's line is now `{now}`, triage it again: {mutant_id}")
+    return stale
 
 
 def _copy_checkout(into: Path) -> Path:
@@ -194,8 +216,8 @@ def run_suite(checkout: Path, timeout: float) -> tuple[bool, float, str]:
     start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0"], cwd=checkout, env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, text=True, start_new_session=True)
+         "--hypothesis-seed=0", f"--ignore={SELF_TEST}"], cwd=checkout, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, start_new_session=True)
     # set from here, not by preexec_fn, which can deadlock a threaded parent
     resource.prlimit(proc.pid, resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
     try:
@@ -208,13 +230,13 @@ def run_suite(checkout: Path, timeout: float) -> tuple[bool, float, str]:
     return proc.returncode == 0, time.perf_counter() - start, lines[-1] if lines else ""
 
 
-def _null_mutant(checkout: Path, timeout: float) -> tuple[bool, float, str]:
+def _null_mutant(checkout: Path) -> tuple[bool, float, str]:
     """run_suite with every module rewritten unchanged by ast.unparse."""
     package = checkout / "src" / "finslercurv"
     for path in sorted(package.glob("*.py")):
         path.write_text(ast.unparse(ast.parse(path.read_text(encoding="utf-8"))) + "\n",
                         encoding="utf-8")
-    outcome = run_suite(checkout, timeout)
+    outcome = run_suite(checkout, NULL_TIMEOUT)
     for path in sorted(package.glob("*.py")):
         shutil.copy2(PACKAGE / path.name, path)
     return outcome
@@ -229,37 +251,33 @@ def main(argv=None) -> int:
     parser.add_argument("--list", action="store_true", help="enumerate the sites, run no mutant")
     parser.add_argument("--only", nargs="+", metavar="PREFIX", default=(),
                         help="run the mutants whose id starts with one of these, e.g. cli.py:277")
-    parser.add_argument("--jobs", type=int, default=2, help="suites run at once (default 2)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="seconds per mutant (default: 5x the null mutant's, at least 120)")
     args = parser.parse_args(argv)
 
     every, listed = census(), listed_survivors()
-    ids = {m.id for m in every}
-    unknown = sorted(set(listed) - ids)
+    stale = stale_survivors(every, listed)
     sites = len({m.site for m in every})
     if args.list:
         for m in every:
             print(f"{m.id:<44} {_source_line(m).strip()}")
-        for site in unknown:
-            print(f"listed survivor names no site: {site}", file=sys.stderr)
+        for message in stale:
+            print(message, file=sys.stderr)
         print(f"mutation census: {len(every)} mutants at {sites} sites; "
               f"{len(listed)} listed survivors")
-        return 0
+        return 1 if stale else 0
     chosen = [m for m in every if not args.only or m.id.startswith(tuple(args.only))]
     if not chosen:
         print("no mutant matches --only", file=sys.stderr)
         return 2
 
     with tempfile.TemporaryDirectory(prefix="mutation-census-") as tmp:
-        jobs = max(1, min(args.jobs, len(chosen)))
+        jobs = min(len(os.sched_getaffinity(0)), len(chosen))  # one suite per usable core
         copies = [_copy_checkout(Path(tmp) / f"worker{k}") for k in range(jobs)]
-        passed, null_s, last = _null_mutant(copies[0], args.timeout or 600.0)
+        passed, null_s, last = _null_mutant(copies[0])
         if not passed:
             print(f"the null mutant (every module through ast.unparse) fails: {last}",
                   file=sys.stderr)
             return 2
-        timeout = args.timeout or max(120.0, 5 * null_s)
+        timeout = max(120.0, 5 * null_s)
         print(f"null mutant passes in {null_s:.1f} s; {len(chosen)} mutants, {jobs} workers, "
               f"timeout {timeout:.0f} s", file=sys.stderr)
         free, lock = list(copies), threading.Lock()
@@ -300,9 +318,9 @@ def main(argv=None) -> int:
         print(f"unlisted survivor: {m.id}    {_source_line(m).strip()}")
     for m in killed_listed:
         print(f"listed survivor now killed, remove it: {m.id}")
-    for site in unknown:
-        print(f"listed survivor names no site: {site}")
-    return 1 if unlisted or killed_listed or unknown else 0
+    for message in stale:
+        print(message)
+    return 1 if unlisted or killed_listed or stale else 0
 
 
 if __name__ == "__main__":

@@ -243,12 +243,15 @@ class TestNormalization:
         assert np.abs(fc.eval_F(fund, alone) - 1.0).max() <= 1e-15
         assert fc.normalize_to_indicatrix(fund, rows).tobytes() == alone.tobytes()
 
-    def test_row_whose_rescaled_power_sum_underflows_raises(self):
-        # at p = 4000 a row of largest entry 0.72 is left as it is by the power-of-two
-        # rescale, and 0.72^4000 underflows: F = 0 is named, never divided by
-        with pytest.raises(DomainViolation, match=r"^cannot scale point \[0.72, 0.72\] onto "
-                                                  r"the indicatrix: F = 0.0$"):
-            fc.normalize_to_indicatrix(fc.pnorm(2, 4000), [0.72, 0.72])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_exponent_row_is_scaled_by_its_largest_entry(self):
+        # at p = 4000, 0.72^4000 underflows and 1.5^4000 overflows, and the power-of-two
+        # rescale leaves both sums out of range; dividing by the largest entry gives [1, 1]
+        fund = fc.pnorm(2, 4000)
+        rows = [[0.72, 0.72], [1.0, 1.0], [1.5, 1.5]]
+        on = fc.normalize_to_indicatrix(fund, rows)
+        assert np.abs(fc.eval_F(fund, on) - 1.0).max() <= 1e-15
+        assert on.tobytes() == np.stack([on[1]] * 3).tobytes()
 
     @pytest.mark.parametrize("p", [12, 16])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
