@@ -10,13 +10,18 @@ A central finite-difference engine lives alongside it and is used only as
 an independent cross-check; the two share only the field and its row layout.
 
 The parts of a (hyper-)dual may hold floats or numpy arrays. Evaluations
-are vector-seeded: a field gets one argument with a leading coordinate
-axis, real part (n, P, S, 1) for R = P * S stacked rows in P groups (one
-per matrix of a pre-map stack, else P = 1) and gradient d1 (n, P, 1, n)
-broadcast over each group's rows, so one evaluation carries every
+are vector-seeded: a field gets one argument laid out as (coordinate,
+slot, row of its point, point): real part (n, 1, S, P) for R = P * S
+stacked rows, S for each of P points (defined below; without a pre-map
+stack every row is a point, P = R and S = 1), and gradient d1 (n, n, 1, P),
+each point's seeds broadcast over its rows. One evaluation carries every
 coordinate, row and derivative direction of a block in O(n) array
-operations.
-HyperDual adds d12 (n, P, 1, m), the mixed partials at the m = n(n+1)/2
+operations, each with its inner loop over the points. With the slots
+innermost instead, a product of a real part and a slot part broadcasts on
+the innermost axis, in loops of n or m elements: a (6, 128, 10, 1) by
+(6, 128, 1, 6) product takes about 3x as long as the same 46k products
+points-innermost.
+HyperDual adds d12 (n, m, 1, P), the mixed partials at the m = n(n+1)/2
 index pairs (first, second) of _seeds(n), and gathers d1 at first and at
 second for the two first partials of each pair: the gradient is stored
 once. Addition, subtraction, negation and scaling act part by part, written
@@ -55,9 +60,6 @@ _SCALARS = (int, float, np.floating, np.ndarray)
 # Floats in the widest array (n coordinates x rows x slots) of one field evaluation,
 # 368 KB, sized on the n = 6 oracle of 128 points; chunk_points sizes chunks by it.
 STACK_FLOATS = 46_080
-# _pair gathers a d1 of at most this many floats (one point's, to n = 8) by take, at half
-# the fixed cost of indexing; from 100-200 floats indexing's per-element loop is faster.
-_TAKE_FLOATS = 64
 
 
 class Dual:
@@ -188,13 +190,15 @@ class HyperDual(Dual):
         return self.real, self.d1, self.d12
 
     def _pair(self):
-        """d1 at each pair's first and second entry (take if small); a float d1 is its own pair."""
+        """d1 at each pair's first and second slot; a float d1 is its own pair.
+
+        take gathers along the slot axis (-3), outside each slot's rows and
+        points, so it copies whole contiguous blocks at every size.
+        """
         if not isinstance(self.d1, np.ndarray):
             return self.d1, self.d1
-        seeds = _seeds(self.d1.shape[-1])
-        if self.d1.size <= _TAKE_FLOATS:
-            return self.d1.take(seeds.first, axis=-1), self.d1.take(seeds.second, axis=-1)
-        return self.d1[..., seeds.first], self.d1[..., seeds.second]
+        seeds = _seeds(self.d1.shape[-3])
+        return self.d1.take(seeds.first, axis=-3), self.d1.take(seeds.second, axis=-3)
 
     def __mul__(self, other):
         if other is self:  # the general product's sums with its equal products formed once
@@ -282,7 +286,7 @@ class ScalarField:
     """A scalar function of an n-vector together with its validity domain.
 
     ``func`` receives one sequence-like argument z of the n coordinates,
-    floats (n, P, S, 1) or a vector-seeded (hyper-)dual (see above); it may
+    floats (n, 1, S, P) or a vector-seeded (hyper-)dual (see above); it may
     index, iterate or unpack z, or use total and matvec, and must be built
     from the generic arithmetic above so every kind flows through.
     ``guard``, unless None, takes an (R, n) array of rows and returns R
@@ -329,20 +333,25 @@ def _per_point(rows: int, points: int) -> int:
     return per_point
 
 
-def _pulled_back(fld: ScalarField, rows: np.ndarray) -> np.ndarray:
-    """B z for every row z of ``rows`` (R, n).
+def _pulled_back(fld: ScalarField, z: np.ndarray) -> tuple:
+    """The real part w = B z of fld's argument at the (R, n) rows z, and B's seeds.
 
-    The sum runs over k in ascending order from +0.0, the order in which a
-    field composed from dual products would accumulate it.
+    Both are in the argument layout (see above): w is (n, 1, S, P), and the
+    seeds, B[i, :] at coordinate i, are one contiguous (n, n, 1, P) copy of a
+    (P, n, n) stack, else (n, n, 1, 1). The sum runs over k in ascending order
+    from +0.0, the order in which a field composed from dual products would
+    accumulate it.
     """
-    if fld.pre is None:
-        return rows
     n = fld.dim
-    stack = fld.pre.reshape(-1, n, n)
-    grouped = rows.reshape(len(stack), _per_point(len(rows), len(stack)), n)
-    w = _ascending(stack[:, None, :, k] * grouped[:, :, k:k + 1] for k in range(n))
+    pre = _seeds(n).eye if fld.pre is None else fld.pre
+    points = len(pre) if pre.ndim == 3 else len(z)
+    zt = z.reshape(points, _per_point(len(z), points), n).T.copy()  # (n, S, P)
+    bt = pre.reshape(-1, n, n).transpose(1, 2, 0).copy()[:, :, None]
+    if fld.pre is None:
+        return zt[:, None], bt
+    w = _ascending(bt[:, k] * zt[k] for k in range(n))
     w += 0.0  # a sum from the first term, then + 0.0, is the sum from +0.0
-    return w.reshape(rows.shape)
+    return w[:, None], bt
 
 
 def point_rows(y, dim: int) -> np.ndarray:
@@ -360,26 +369,33 @@ def _evaluated(fld: ScalarField, z: np.ndarray, kind) -> list:
     gives the value (R, 1). Dual and HyperDual seed coordinate i as
     kind(w_i, B[i, :]), row i of each point's B (the identity without a
     pre-map), so their slots carry derivatives in z: the gradient (R, n) and
-    a HyperDual's mixed part (R, m) follow the value.
+    a HyperDual's mixed part (R, m) follow the value. The guard gets
+    C-contiguous rows: a transposed view would change the order of its sums.
     """
     n = fld.dim
-    w = _pulled_back(fld, z)
+    x, seeds = _pulled_back(fld, z)
     if fld.guard is not None:
+        w = z if fld.pre is None else _rows(x[:, 0], n, x.shape[2:])
         inside = np.asarray(fld.guard(w), dtype=bool)
-        if inside.shape != (len(w),):
+        if inside.shape != (len(z),):
             raise DimensionMismatch(f"guard gave shape {inside.shape}, not one boolean per row")
         if not inside.all():
             raise DomainViolation(f"point {z[inside.argmin()]} is outside the field's domain")
-    pre = (_seeds(n).eye if fld.pre is None else fld.pre).reshape(-1, n, n)
-    x = w.T.copy().reshape(n, len(pre), _per_point(len(w), len(pre)), 1)  # (n, P, S, 1)
     if kind is float:
         parts, widths = [fld.func(x)], (1,)
     else:
-        out = fld.func(kind(x, pre.transpose(1, 0, 2)[:, :, None, :]))
+        out = fld.func(kind(x, seeds))
         parts = (out if isinstance(out, Dual) else kind(out))._parts()  # a constant's slots are 0
         widths = (1, n, _seeds(n).first.size)
-    return [np.full(x.shape[1:-1] + (width,), part, float).reshape(-1, width)
-            for part, width in zip(parts, widths)]
+    return [_rows(part, width, x.shape[2:]) for part, width in zip(parts, widths)]
+
+
+def _rows(part, width: int, block: tuple) -> np.ndarray:
+    """A part laid out (width, S, P), or broadcast to it, as C-contiguous (P * S, width)
+    rows, grouped by point; block is (S, P)."""
+    out = np.empty(block[::-1] + (width,))
+    np.copyto(out.T, part)
+    return out.reshape(-1, width)
 
 
 def _blockwise(fld: ScalarField, count: int, width: int, kind, rows: Callable) -> list:

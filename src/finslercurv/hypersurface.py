@@ -28,7 +28,7 @@ from .autodiff import ScalarField, _scaled_step, grad_hess, gradients
 from .exceptions import DimensionMismatch, OffSurface, VanishingGradient
 from .numkernel import TangentFrame, _first, _norms, complete_frame, trace_reduction
 
-# Numerical floor below which the gradient counts as vanishing.
+# Numerical floor at or below which the gradient counts as vanishing.
 GRADIENT_FLOOR = 1e-10
 
 # |f| above this at an asserted on-surface point raises OffSurface.

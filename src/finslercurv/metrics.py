@@ -56,7 +56,10 @@ class FundamentalFunction:
     guard_margin: float = 0.0
 
     def value(self, z):
-        """F at z, a field argument: (n, P, S, 1) floats or a vector-seeded (hyper-)dual."""
+        """F at z, a field argument: (n, 1, S, P) floats or a vector-seeded (hyper-)dual.
+
+        The coordinate axis comes first and the points last (autodiff's layout),
+        so each product runs its inner loop over the points."""
         fam = self.family
         if fam == "euclidean":
             return autodiff.sqrt(total(z * z))
@@ -193,7 +196,7 @@ def eval_F(fund: FundamentalFunction, y):
     inside = fund.guard_rows(rows)
     if not inside.all():
         raise DomainViolation(f"point {rows[inside.argmin()]} is outside the guarded domain")
-    values = fund.value(rows.T[:, None, :, None])[0, :, 0]
+    values = fund.value(rows.T[:, None, None, :])[0, 0]
     return float(values[0]) if y.ndim == 1 else values
 
 

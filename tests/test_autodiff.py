@@ -138,12 +138,12 @@ class TestReciprocals:
 
 
 def dual_pair(kind, arrays, seed):
-    """Two ``kind`` numbers of random parts: floats, or real (n, P, S, 1) and slots (n, P, 1, m)."""
+    """Two ``kind`` numbers of random parts: floats, or real (n, 1, S, P) and slots (n, m, 1, P)."""
     rng = np.random.default_rng(seed)
     width = len(kind(0.0)._parts())
     if not arrays:
         return [kind(*rng.standard_normal(width).tolist()) for _ in range(2)]
-    shapes = [(3, 2, 4, 1)] + [(3, 2, 1, 5)] * (width - 1)
+    shapes = [(3, 1, 4, 2)] + [(3, 5, 1, 2)] * (width - 1)
     return [kind(*[rng.standard_normal(shape) for shape in shapes]) for _ in range(2)]
 
 
@@ -180,25 +180,26 @@ class TestPartwiseOperations:
         *[pytest.param(n, "seeded", id=f"{n}-seeded") for n in (1, 3, 6)],
         pytest.param(6, "wide", id="6-wide")])
     def test_hyperdual_mixes_its_gradient_at_each_index_pair(self, n, layout):
-        # pair k's eps1 and eps2 parts are d1 at first[k] and at second[k], by take or by
-        # indexing: a seeded d1 is _evaluated's non-contiguous (n, P, 1, n) view of a
-        # (P, n, n) pre-map stack; seeded at n = 6 and wide, d1 is too big for take
+        # pair k's eps1 and eps2 parts are d1 at first[k] and at second[k] on the slot
+        # axis (-3): a seeded d1 is _evaluated's contiguous (n, n, 1, P) copy of a
+        # (P, n, n) pre-map stack; a wide one spans 16 rows of each point
         rng = np.random.default_rng(n)
         first, second = np.triu_indices(n)
-        lead = {"contiguous": (2, 4), "seeded": (n, 2, 4), "wide": (2, 16)}[layout]
+        lead = {"contiguous": (1,), "seeded": (n, 1), "wide": (1,)}[layout]
+        rows = 16 if layout == "wide" else 1
 
         def operand():
-            real = rng.standard_normal(lead + (1,))
+            real = rng.standard_normal(lead + (max(rows, 4), 2))  # 4 rows, or the wide 16
             if layout == "seeded":
-                d1 = rng.standard_normal((2, n, n)).transpose(1, 0, 2)[:, :, None]
+                d1 = rng.standard_normal((2, n, n)).transpose(1, 2, 0).copy()[:, :, None]
             else:
-                d1 = rng.standard_normal((2, 16 if layout == "wide" else 1, n))
-            return HyperDual(real, d1, rng.standard_normal(lead[:-1] + (1, first.size)))
+                d1 = rng.standard_normal((n, rows, 2))
+            return HyperDual(real, d1, rng.standard_normal(lead[:-1] + (first.size, rows, 2)))
 
         x, y = operand(), operand()
-        assert x.d1.flags.c_contiguous != (layout == "seeded" and n > 1)
-        assert (x.d1.size > autodiff._TAKE_FLOATS) == (n == 6 and layout != "contiguous")
-        a1, a2, b1, b2 = x.d1[..., first], x.d1[..., second], y.d1[..., first], y.d1[..., second]
+        assert x.d1.flags.c_contiguous
+        a1, a2 = x.d1[..., first, :, :], x.d1[..., second, :, :]
+        b1, b2 = y.d1[..., first, :, :], y.d1[..., second, :, :]
         assert shaped_bits((x * y)._parts()) == shaped_bits([
             x.real * y.real, x.real * y.d1 + x.d1 * y.real,
             x.real * y.d12 + x.d12 * y.real + a1 * b2 + a2 * b1])
@@ -506,11 +507,31 @@ class TestVectorSeeds:
         for y, value in zip(ys, values):
             assert fc.eval_F(fund, y) == value
 
+    @pytest.mark.parametrize("derive, kind", [(fc.grad_hess, HyperDual),
+                                              (autodiff.gradients, Dual)])
+    def test_points_run_innermost_in_contiguous_arguments(self, derive, kind, monkeypatch):
+        # real (n, 1, S, P) and d1 (n, n, 1, P): a product of the two runs its inner
+        # loop over the P points, and each point's seeds broadcast over its S rows
+        n, per = 3, 2
+        fund = catalog(n)["randers"]
+        points = fc.sample_indicatrix(fund, 3, 11)
+        stacked = ind.adapted_field(fund, np.array([p.chol for p in points]))
+        seen = []
+        value = fc.FundamentalFunction.value
+        monkeypatch.setattr(fc.FundamentalFunction, "value",
+                            lambda self, z: seen.append(z) or value(self, z))
+        derive(stacked, np.repeat([p.y_adapted for p in points], per, axis=0))
+        x, = seen
+        assert type(x) is kind
+        assert x.real.shape == (n, 1, per, len(points)) and x.real.flags.c_contiguous
+        assert x.d1.shape == (n, n, 1, len(points)) and x.d1.flags.c_contiguous
+        assert np.array_equal(x.d1[:, :, 0], stacked.pre.transpose(1, 2, 0))
+
     @pytest.mark.parametrize("kind", [Dual, HyperDual])
     def test_numpy_operand_on_the_left_keeps_the_dual(self, kind):
-        slots = [np.arange(1.0, 7.0).reshape(3, 1, 1, 2)]  # a gradient over 2 slots
+        slots = [np.arange(1.0, 7.0).reshape(3, 2, 1, 1)]  # a gradient over 2 slots
         if kind is HyperDual:
-            slots.append(np.arange(1.0, 10.0).reshape(3, 1, 1, 3))  # mixed part, m = 3 pairs
+            slots.append(np.arange(1.0, 10.0).reshape(3, 3, 1, 1))  # mixed part, m = 3 pairs
         x = kind(np.arange(2.0, 5.0).reshape(3, 1, 1, 1), *slots)
         for left in (np.float64(2.0), np.array(2.0), np.full((1, 1, 1), 2.0)):
             for op in (operator.add, operator.sub, operator.mul, operator.truediv):
@@ -520,12 +541,12 @@ class TestVectorSeeds:
                     assert bits(out._parts()) == bits(op(2.0, right)._parts())
 
     def test_a_vector_dual_is_a_sequence_of_coordinates(self):
-        x = HyperDual(np.arange(3.0).reshape(3, 1, 1, 1), np.eye(3)[:, None, None, :],
-                      np.arange(18.0).reshape(3, 1, 1, 6))  # m = 6 index pairs
+        x = HyperDual(np.arange(3.0).reshape(3, 1, 1, 1), np.eye(3)[:, :, None, None],
+                      np.arange(18.0).reshape(3, 6, 1, 1))  # m = 6 index pairs
         first, second, third = x
         assert len(x) == 3 and [float(c.real[0, 0, 0]) for c in x] == [0.0, 1.0, 2.0]
-        assert np.array_equal(second.d1, [[[0.0, 1.0, 0.0]]])
-        assert np.array_equal(second.d12, [[np.arange(6.0, 12.0)]])
+        assert np.array_equal(second.d1, np.array([0.0, 1.0, 0.0])[:, None, None])
+        assert np.array_equal(second.d12, np.arange(6.0, 12.0)[:, None, None])
         total = autodiff.total(x)
-        assert np.array_equal(total.d1, [[[1.0, 1.0, 1.0]]])
-        assert np.array_equal(total.d12, [[np.arange(18.0, 36.0, 3.0)]])
+        assert np.array_equal(total.d1, np.ones((3, 1, 1)))
+        assert np.array_equal(total.d12, np.arange(18.0, 36.0, 3.0)[:, None, None])

@@ -232,8 +232,8 @@ def float_arrays(draw, shape, zeros=False):
 
 @st.composite
 def field_arguments(draw, kinds=(Dual, HyperDual), floats=True):
-    """A (hyper-)dual of float parts (if ``floats``), or a field argument: real (n, P, S, 1),
-    d1 (n, P, 1, n), d12 (n, P, 1, n(n+1)/2), where a slot may be one float; kind None
+    """A (hyper-)dual of float parts (if ``floats``), or a field argument: real (n, 1, S, P),
+    d1 (n, n, 1, P), d12 (n, n(n+1)/2, 1, P), where a slot may be one float; kind None
     gives the real array alone. One draw in four is all -0.0."""
     kind = draw(st.sampled_from(kinds))
     width = 1 if kind is None else len(kind(0.0)._parts())
@@ -241,7 +241,7 @@ def field_arguments(draw, kinds=(Dual, HyperDual), floats=True):
     if floats and draw(st.booleans()):
         return kind(*draw(float_arrays((width,), zeros)).tolist())
     n, blocks, rows = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
-    shapes = [(n, blocks, rows, 1), (n, blocks, 1, n), (n, blocks, 1, n * (n + 1) // 2)]
+    shapes = [(n, 1, rows, blocks), (n, n, 1, blocks), (n, n * (n + 1) // 2, 1, blocks)]
     real, *slots = [draw(float_arrays(shape, zeros)) for shape in shapes[:width]]
     if kind is None:
         return real
@@ -294,12 +294,15 @@ def test_pre_map_runs_left_to_right_in_a_fresh_array(data, n, blocks, rows, zero
     # -0.0 times +0.0: every term is -0.0, and only the sum from +0.0 is +0.0
     pre = data.draw(float_arrays((blocks, n, n), zeros))
     z = np.zeros((blocks * rows, n)) if zeros else data.draw(float_arrays((blocks * rows, n)))
-    grouped, before = z.reshape(blocks, rows, n), z.tobytes()
+    grouped, before = z.reshape(blocks, rows, n), z.tobytes() + pre.tobytes()
     with np.errstate(all="ignore"):
-        got = autodiff._pulled_back(fc.ScalarField(n, lambda w: w[0], pre=pre), z)
+        got, seeds = autodiff._pulled_back(fc.ScalarField(n, lambda w: w[0], pre=pre), z)
         # the sum from +0.0, as the pre-map's docstring states it
         want = left_to_right([0.0] + [pre[:, None, :, k] * grouped[:, :, k:k + 1]
                                       for k in range(n)])
-    assert part_bits([got]) == part_bits([want.reshape(z.shape)])
+    # w in the argument layout (n, 1, S, P), and each point's B[i, :] at coordinate i
+    assert part_bits([got, seeds]) == part_bits([want.T[:, None],
+                                                 pre.transpose(1, 2, 0)[:, :, None]])
     got[...] = 7.0
-    assert z.tobytes() == before
+    seeds[...] = 7.0
+    assert z.tobytes() + pre.tobytes() == before
